@@ -95,10 +95,11 @@ class KernelConfig:
         if self.bandwidth_mode == "fixed" and not self.fixed_h > 0:
             raise InvalidArgumentError("fixed_h must be positive")
 
-    def resolve(self, positions: np.ndarray) -> float:
+    def resolve(self, positions: np.ndarray, d2: np.ndarray | None = None) -> float:
+        """Bandwidth for the cloud; d2 is its squared-distance matrix when already at hand."""
         if self.bandwidth_mode == "fixed":
             return self.fixed_h
-        return bandwidth_nn(positions)
+        return bandwidth_nn(positions) if d2 is None else bandwidth_nn_from_d2(d2)
 
 
 @dataclass

@@ -7,6 +7,7 @@ iteration-k quantities (Jacobi order), so the three sub-updates commute.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -17,7 +18,6 @@ from .core import (
     InvalidArgumentError,
     KernelConfig,
     ParticleState,
-    bandwidth_nn_from_d2,
     empirical_moments,
     rbf_kernel_matrix,
     squared_distances,
@@ -40,10 +40,14 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class DynamicsConfig:
-    """Method selection (metric x smoothing x weight mode) plus step sizes and damping."""
+    """Weight mode, step sizes and damping of a stepper.
 
-    metric: str = "W"
-    smoothing: str = "BLOB"
+    The metric and the smoothing rule come from the method id alone, and
+    make_stepper sets weight_mode from it too; weight_mode matters only to the
+    step functions called directly. eta_wei is ramped up over total_steps
+    when warmup is on; ca_variant picks the CA weight rule.
+    """
+
     weight_mode: str = "fixed"
     eta_pos: float = 1e-2
     eta_vel: float = 1.0
@@ -55,10 +59,6 @@ class DynamicsConfig:
     ca_variant: str = "multiplicative"  # multiplicative | as_printed
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ConfigurationError("metric must be one of %s" % (METRICS,))
-        if self.smoothing not in SMOOTHINGS:
-            raise ConfigurationError("smoothing must be one of %s" % (SMOOTHINGS,))
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigurationError("weight_mode must be one of %s" % (WEIGHT_MODES,))
         if self.ca_variant not in ("multiplicative", "as_printed"):
@@ -127,15 +127,6 @@ def _require_finite(arr: np.ndarray, what: str, iteration: int):
         raise NumericalDivergenceError(
             "non-finite %s for particle %d at iteration %d" % (what, bad, iteration)
         )
-
-
-def _check_finite(new_pos: np.ndarray, new_vel: np.ndarray, u: np.ndarray, iteration: int):
-    # a finite sum implies all entries finite; fall back to the slow scan for the message
-    if math.isfinite(float(new_pos.sum() + new_vel.sum() + u.sum())):
-        return
-    _require_finite(new_pos, "position", iteration)
-    _require_finite(new_vel, "velocity", iteration)
-    _require_finite(u, "first variation", iteration)
 
 
 def ca_weight_update(weights, u, eta, variant="multiplicative"):
@@ -224,78 +215,88 @@ def dk_resample(state: ParticleState, u, eta, rng: StepRng) -> DkOutcome:
     return DkOutcome(state=new_state, events=events, skipped=skipped)
 
 
-def _weight_stage(state, u, cfg, rng, new_pos, new_vel):
-    """Apply the configured weight update; DK may also rewrite particle rows."""
+def _finish(state, cfg, rng, new_pos, new_vel, u, counters=None):
+    """Check the moved particles, apply the CA or DK weight update and stamp iteration k+1."""
+    # a finite sum implies all entries finite; fall back to the slow scan for the message
+    if not math.isfinite(float(new_pos.sum() + new_vel.sum() + u.sum())):
+        _require_finite(new_pos, "position", state.iteration)
+        _require_finite(new_vel, "velocity", state.iteration)
+        _require_finite(u, "first variation", state.iteration)
     eta = effective_eta_wei(cfg, state.iteration)
-    clamps = 0
-    dk_events = 0
     if cfg.weight_mode == "fixed" or eta == 0.0:
         new_w = state.weights.copy()
     elif cfg.weight_mode == "CA":
         new_w, clamps = ca_weight_update(state.weights, u, eta, cfg.ca_variant)
-    elif cfg.weight_mode == "DK":
+        if counters is not None:
+            counters["clamp_count"] += clamps
+    else:  # DK may also rewrite particle rows
         staged = ParticleState._trusted(new_pos, new_vel, state.weights, state.iteration)
-        outcome = dk_resample(staged, u, eta, rng)
-        dk_events = outcome.event_count + outcome.skipped
-        return outcome.state.weights, outcome.state.positions, outcome.state.velocities, clamps, dk_events
-    else:  # pragma: no cover
-        raise ConfigurationError("unknown weight mode %r" % cfg.weight_mode)
-    return new_w, new_pos, new_vel, clamps, dk_events
-
-
-def _assemble(state, cfg, rng, new_pos, new_vel, u, counters=None):
-    _check_finite(new_pos, new_vel, u, state.iteration)
-    new_w, new_pos, new_vel, clamps, dk_events = _weight_stage(
-        state, u, cfg, rng, new_pos, new_vel
-    )
-    if counters is not None:
-        counters["clamp_count"] += clamps
-        counters["dk_event_count"] += dk_events
+        out = dk_resample(staged, u, eta, rng)
+        new_pos, new_vel, new_w = out.state.positions, out.state.velocities, out.state.weights
+        if counters is not None:
+            counters["dk_event_count"] += out.event_count + out.skipped
     return ParticleState._trusted(new_pos, new_vel, new_w, state.iteration + 1)
 
 
-def wgad_step(state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng, counters=None):
-    """Accelerated step under the flat transport metric."""
-    new_pos = state.positions + cfg.eta_pos * state.velocities
-    decay = 1.0 - cfg.gamma * cfg.eta_vel
-    new_vel = decay * state.velocities - cfg.eta_vel * fv.grad_u
-    return _assemble(state, cfg, rng, new_pos, new_vel, fv.u, counters)
+# Metric terms of the accelerated step: (position move eta_pos*T(v), velocity coupling C(v)).
 
 
-def kwgad_step(state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng, counters=None):
-    """Accelerated step preconditioned by the regularized weighted covariance."""
+def _w_terms(state, cfg, h, k):
+    """Flat transport: the particles move along their own velocities, with no coupling."""
+    return cfg.eta_pos * state.velocities, None
+
+
+def _kw_terms(state, cfg, h, k):
+    """Transport preconditioned by the regularized weighted covariance C_lambda."""
     moments = empirical_moments(state, ridge=cfg.lambda_kw)
-    c_lam = moments.regularized_covariance
-    new_pos = state.positions + cfg.eta_pos * state.velocities @ c_lam.T
+    move = cfg.eta_pos * state.velocities @ moments.regularized_covariance.T
     # coupling[i] = [sum_j w_j v_j v_j^T] (x_i - m)
     vv = (state.velocities * state.weights[:, None]).T @ state.velocities
-    coupling = (state.positions - moments.mean) @ vv.T
-    decay = 1.0 - cfg.gamma * cfg.eta_vel
-    new_vel = decay * state.velocities - cfg.eta_vel * coupling - cfg.eta_vel * fv.grad_u
-    return _assemble(state, cfg, rng, new_pos, new_vel, fv.u, counters)
+    return move, (state.positions - moments.mean) @ vv.T
 
 
-def sgad_step(state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng, h: float,
-              counters=None, k=None):
-    """Accelerated step with kernel-averaged transport and velocity coupling."""
+def _s_terms(state, cfg, h, k):
+    """Kernel-averaged transport with its velocity coupling."""
     x = state.positions
-    w = state.weights
     if k is None:
         k = rbf_kernel_matrix(x, h=h)
-    kw = k * w[None, :]
-    new_pos = x + cfg.eta_pos * kw @ state.velocities
-    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j)
-    coeff = kw * (state.velocities @ state.velocities.T)
+    kw = k * state.weights[None, :]
+    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j); the in-place
+    # products keep the M x M temporaries to two without changing a bit
+    coeff = state.velocities @ state.velocities.T
+    coeff *= kw
     coupling = -(2.0 / h) * (x * coeff.sum(axis=1)[:, None] - coeff @ x)
-    decay = 1.0 - cfg.gamma * cfg.eta_vel
-    new_vel = decay * state.velocities - cfg.eta_vel * coupling - cfg.eta_vel * fv.grad_u
-    return _assemble(state, cfg, rng, new_pos, new_vel, fv.u, counters)
+    kw *= cfg.eta_pos
+    return kw @ state.velocities, coupling
+
+
+METRIC_TERMS = {"W": _w_terms, "KW": _kw_terms, "S": _s_terms}
+
+
+def gad_step(metric, state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng,
+             counters=None, h=None, k=None):
+    """Accelerated step: x += eta_pos T(v), v <- (1 - gamma eta_vel) v - eta_vel (C(v) + grad u).
+
+    The metric fixes the transport T and the coupling C; h and k (the RBF
+    bandwidth and kernel matrix) are read by the S metric only.
+    """
+    move, coupling = METRIC_TERMS[metric](state, cfg, h, k)
+    new_vel = (1.0 - cfg.gamma * cfg.eta_vel) * state.velocities
+    if coupling is not None:
+        new_vel = new_vel - cfg.eta_vel * coupling
+    new_vel = new_vel - cfg.eta_vel * fv.grad_u
+    return _finish(state, cfg, rng, state.positions + move, new_vel, fv.u, counters)
+
+
+wgad_step = functools.partial(gad_step, "W")
+kwgad_step = functools.partial(gad_step, "KW")
+sgad_step = functools.partial(gad_step, "S")
 
 
 def first_order_step(state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng, counters=None):
     """Plain descent on the smoothed first variation; velocities stay untouched."""
     new_pos = state.positions - cfg.eta_pos * fv.grad_u
-    return _assemble(state, cfg, rng, new_pos, state.velocities.copy(), fv.u, counters)
+    return _finish(state, cfg, rng, new_pos, state.velocities.copy(), fv.u, counters)
 
 
 def svgd_step(state: ParticleState, target: TargetModel, h: float, eta_pos: float, k=None):
@@ -315,22 +316,18 @@ def svgd_step(state: ParticleState, target: TargetModel, h: float, eta_pos: floa
     return ParticleState._trusted(new_pos, state.velocities.copy(), w.copy(), state.iteration + 1)
 
 
-def wnes_momentum(k: int) -> float:
-    return (k - 1.0) / (k + 2.0)
+def wnes_lookahead(state: ParticleState, k: int) -> np.ndarray:
+    """Nesterov lookahead x_k + (k-1)/(k+2) v, where WNES keeps v = x_k - x_{k-1}."""
+    return state.positions + (k - 1.0) / (k + 2.0) * state.velocities
 
 
-def wnes_lookahead(state: ParticleState, prev_positions: np.ndarray, k: int) -> np.ndarray:
-    return state.positions + wnes_momentum(k) * (state.positions - prev_positions)
-
-
-def wnes_step(state, prev_positions, fv_at_lookahead: FirstVariation, eta_pos: float, k: int):
+def wnes_step(state, fv_at_lookahead: FirstVariation, eta_pos: float, k: int):
     """Momentum-extrapolated descent: gradient taken at the lookahead point."""
     if k < 1:
         raise InvalidArgumentError("step counter k must be >= 1")
-    y = wnes_lookahead(state, prev_positions, k)
-    new_pos = y - eta_pos * fv_at_lookahead.grad_u
+    new_pos = wnes_lookahead(state, k) - eta_pos * fv_at_lookahead.grad_u
     _require_finite(new_pos, "position", state.iteration)
-    return ParticleState._trusted(new_pos, state.velocities.copy(), state.weights.copy(),
+    return ParticleState._trusted(new_pos, new_pos - state.positions, state.weights.copy(),
                                   state.iteration + 1)
 
 
@@ -347,59 +344,45 @@ class MethodSpec:
     weight_mode: str = "fixed"
 
 
-def _gad_names():
-    return [
-        "%sGAD-%s-%s" % (m, w, s)
-        for m in METRICS
-        for w in ("CA", "DK")
-        for s in SMOOTHINGS
-    ]
+# every accepted id: the metric x weight-mode x smoothing grid of accelerated
+# methods (fixed weights: WAIG/KWAIG/SAIG), its first-order row (fixed: the
+# bare smoothing name, else DPVI), the momentum baseline WNES and SVGD
+METHODS = {spec.name: spec for spec in (
+    [MethodSpec("%sGAD-%s-%s" % (m, w, s) if w != "fixed" else "%sAIG-%s" % (m, s), "gad", m, s, w)
+     for m in METRICS for w in WEIGHT_MODES for s in SMOOTHINGS]
+    + [MethodSpec("DPVI-%s-%s" % (w, s) if w != "fixed" else s, "first_order", "W", s, w)
+       for w in WEIGHT_MODES for s in SMOOTHINGS]
+    + [MethodSpec("WNES-" + s, "wnes", "W", s) for s in SMOOTHINGS]
+    + [MethodSpec("SVGD", "svgd")]
+)}
 
+BASELINE_METHODS = ["BLOB", "GFSD", "KSDD", "SVGD", "WAIG-BLOB", "WNES-BLOB", "DPVI-CA-BLOB",
+                    "DPVI-DK-BLOB"]
 
-BASELINE_METHODS = [
-    "BLOB",
-    "GFSD",
-    "KSDD",
-    "SVGD",
-    "WAIG-BLOB",
-    "WNES-BLOB",
-    "DPVI-CA-BLOB",
-    "DPVI-DK-BLOB",
-]
-
-CANONICAL_METHODS = _gad_names() + BASELINE_METHODS
+CANONICAL_METHODS = [
+    name for name, spec in METHODS.items() if spec.kind == "gad" and spec.weight_mode != "fixed"
+] + BASELINE_METHODS
 
 
 def parse_method(name: str) -> MethodSpec:
-    """Resolve a method id to its family, metric, smoothing rule and weight mode.
+    """Resolve a method id (case-insensitive) to its family, metric, smoothing rule and weight mode.
 
-    Beyond the canonical registry, any syntactically valid combination
+    Beyond the canonical registry, every other combination of the grid
     (e.g. WAIG-GFSD, DPVI-CA-GFSD) is accepted.
     """
-    ident = name.strip().upper()
-    if ident == "SVGD":
-        return MethodSpec(name=ident, kind="svgd")
-    if ident in SMOOTHINGS:
-        return MethodSpec(name=ident, kind="first_order", smoothing=ident)
-    parts = ident.split("-")
-    if parts[0] == "WNES" and len(parts) == 2 and parts[1] in SMOOTHINGS:
-        return MethodSpec(name=ident, kind="wnes", smoothing=parts[1])
-    if parts[0] == "DPVI" and len(parts) == 3 and parts[1] in ("CA", "DK") and parts[2] in SMOOTHINGS:
-        return MethodSpec(name=ident, kind="first_order", smoothing=parts[2], weight_mode=parts[1])
-    for metric in METRICS:
-        if parts[0] == metric + "GAD" and len(parts) == 3 and parts[1] in ("CA", "DK") and parts[2] in SMOOTHINGS:
-            return MethodSpec(name=ident, kind="gad", metric=metric, smoothing=parts[2], weight_mode=parts[1])
-        if parts[0] == metric + "AIG" and len(parts) == 2 and parts[1] in SMOOTHINGS:
-            return MethodSpec(name=ident, kind="gad", metric=metric, smoothing=parts[1], weight_mode="fixed")
-    raise ConfigurationError(
-        "unknown method %r; valid ids include: %s" % (name, ", ".join(CANONICAL_METHODS))
-    )
+    spec = METHODS.get(name.strip().upper())
+    if spec is None:
+        raise ConfigurationError(
+            "unknown method %r; valid ids include: %s" % (name, ", ".join(CANONICAL_METHODS))
+        )
+    return spec
 
 
 class Stepper:
     """Deterministic one-iteration stepper for a registered method.
 
-    Accumulates weight-clamp and duplicate/kill event counters across calls.
+    A pure map of ParticleState apart from the weight-clamp, duplicate/kill and
+    floored-mixture counters it accumulates across calls.
     """
 
     def __init__(self, spec: MethodSpec, target: TargetModel, cfg: DynamicsConfig,
@@ -410,50 +393,33 @@ class Stepper:
         self.kernel = kernel
         self.rng = rng
         self.counters = {"clamp_count": 0, "dk_event_count": 0, "floored_count": 0}
-        self._prev_positions = None  # lookahead memory for the momentum baseline
-
-    def _first_variation(self, state: ParticleState, h: float, d2=None, k=None) -> FirstVariation:
-        try:
-            fv = first_variation(state, self.target, h, self.spec.smoothing, d2=d2, k=k)
-        except (FloatingPointError, OverflowError) as exc:
-            raise NumericalDivergenceError(
-                "non-finite first variation at iteration %d" % state.iteration
-            ) from exc
-        self.counters["floored_count"] += fv.floored
-        return fv
-
-    def _resolve_h(self, d2: np.ndarray) -> float:
-        if self.kernel.bandwidth_mode == "fixed":
-            return self.kernel.fixed_h
-        return bandwidth_nn_from_d2(d2)
 
     def __call__(self, state: ParticleState) -> ParticleState:
         spec, cfg = self.spec, self.cfg
-        if spec.kind == "svgd":
-            d2 = squared_distances(state.positions)
-            h = self._resolve_h(d2)
-            return svgd_step(state, self.target, h, cfg.eta_pos, k=np.exp(d2 / -h))
+        at = state  # WNES evaluates the smoothing at its lookahead point
         if spec.kind == "wnes":
-            k = state.iteration + 1
-            prev = self._prev_positions if self._prev_positions is not None else state.positions
-            y = wnes_lookahead(state, prev, k)
-            staged = ParticleState._trusted(y, state.velocities, state.weights, state.iteration)
-            d2 = squared_distances(y)
-            fv = self._first_variation(staged, self._resolve_h(d2), d2)
-            new_state = wnes_step(state, prev, fv, cfg.eta_pos, k)
-            self._prev_positions = state.positions
-            return new_state
-        d2 = squared_distances(state.positions)
-        h = self._resolve_h(d2)
-        k = np.exp(d2 / -h)
-        fv = self._first_variation(state, h, d2, k)
+            at = ParticleState._trusted(wnes_lookahead(state, state.iteration + 1),
+                                        state.velocities, state.weights, state.iteration)
+        d2 = squared_distances(at.positions)
+        h = self.kernel.resolve(at.positions, d2)
+        k = d2 / -h
+        np.exp(k, out=k)  # in place: one M x M temporary fewer
+        if spec.kind == "svgd":
+            return svgd_step(state, self.target, h, cfg.eta_pos, k=k)
+        try:
+            fv = first_variation(at, self.target, h, spec.smoothing, d2=d2, k=k)
+        except (FloatingPointError, OverflowError) as exc:
+            row = getattr(exc, "row", None)  # set by targets that know the failing point
+            raise NumericalDivergenceError(
+                "first variation diverged%s at iteration %d: %s"
+                % ("" if row is None else " for particle %d" % row, state.iteration, exc)
+            ) from exc
+        self.counters["floored_count"] += fv.floored
+        if spec.kind == "wnes":
+            return wnes_step(state, fv, cfg.eta_pos, state.iteration + 1)
         if spec.kind == "first_order":
             return first_order_step(state, fv, cfg, self.rng, self.counters)
-        if spec.metric == "W":
-            return wgad_step(state, fv, cfg, self.rng, self.counters)
-        if spec.metric == "KW":
-            return kwgad_step(state, fv, cfg, self.rng, self.counters)
-        return sgad_step(state, fv, cfg, self.rng, h, self.counters, k=k)
+        return gad_step(spec.metric, state, fv, cfg, self.rng, self.counters, h, k)
 
 
 def make_stepper(method: str, target: TargetModel, cfg: DynamicsConfig | None = None,
@@ -461,7 +427,7 @@ def make_stepper(method: str, target: TargetModel, cfg: DynamicsConfig | None = 
     """Build a stepper for any registered method id against a target."""
     spec = parse_method(method)
     cfg = cfg if cfg is not None else DynamicsConfig()
-    cfg = replace(cfg, metric=spec.metric, smoothing=spec.smoothing, weight_mode=spec.weight_mode)
+    cfg = replace(cfg, weight_mode=spec.weight_mode)
     if spec.smoothing == "KSDD" and spec.kind != "svgd" and not target.has_hessian:
         raise ConfigurationError(
             "method %s needs a target with a log-density Hessian" % spec.name

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParticleState, rbf_kernel_matrix, squared_distances
+from .core import ParticleState, squared_distances
 from .targets import TargetModel, UnsupportedOperationError
 
 # Kernel mixture sums are floored here before taking logs, so that a cloud of
@@ -35,12 +35,6 @@ class FirstVariation:
     @classmethod
     def zero(cls, m: int, d: int) -> "FirstVariation":
         return cls(u=np.zeros(m), grad_u=np.zeros((m, d)))
-
-
-def _grad1_sum(k: np.ndarray, coeff: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """sum_j coeff_j * d/dx_i K(x_i, x_j) = -(2/h)[x_i (K coeff)_i - (K∘coeff) x]."""
-    kc = k * coeff[None, :]
-    return -(2.0 / h) * (x * (k @ coeff)[:, None] - kc @ x)
 
 
 def _kernel_mixture(state: ParticleState, h: float, d2=None, k=None):
@@ -125,27 +119,6 @@ def stein_kernel_grad_y(x: np.ndarray, y: np.ndarray, target: TargetModel, h: fl
     # d/dy of the divergence term
     g += (8.0 / (h * h) + 4.0 * d / (h * h) - 8.0 * r2 / (h * h * h)) * e * k
     return g
-
-
-def _stein_gram_from(x, s, k, r2, d, h):
-    c = 2.0 / h
-    sx_dot = (s * x).sum(axis=1)
-    sxT = s @ x.T  # sxT[i, j] = s_i . x_j
-    term1 = (s @ s.T) * k
-    # s(x_i)^T d/dx_j K(x_i, x_j) = (2/h) s_i . (x_i - x_j) K_ij
-    term2 = c * (sx_dot[:, None] - sxT) * k
-    # d/dx_i K(x_i, x_j) . s(x_j) = -(2/h) (x_i - x_j) . s_j K_ij
-    term3 = -c * (sxT.T - sx_dot[None, :]) * k
-    term4 = (2.0 * d / h - 4.0 * r2 / (h * h)) * k
-    return term1 + term2 + term3 + term4
-
-
-def _stein_gram(state: ParticleState, target: TargetModel, h: float):
-    x = state.positions
-    r2 = squared_distances(x)
-    k = np.exp(r2 / -h)
-    s = target.score(x)  # (M, d)
-    return _stein_gram_from(x, s, k, r2, state.dim, h)
 
 
 def ksdd_first_variation(state: ParticleState, target: TargetModel, h: float,

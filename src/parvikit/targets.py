@@ -16,6 +16,14 @@ class UnsupportedOperationError(RuntimeError):
     """Raised when a target does not provide the requested derivative."""
 
 
+class GramFactorError(FloatingPointError):
+    """Raised when the GP Gram matrix at the batch's point `row` is non-finite or not PD."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 class ParseError(ValueError):
     """Raised on malformed CSV input; the message names the offending line."""
 
@@ -249,14 +257,17 @@ class GPHyperparameterTarget(TargetModel):
     def _gram(self, phi):
         return np.exp(phi[0]) * np.exp(-np.exp(phi[1]) * self._d2)
 
-    def _factor(self, phi):
-        k = self._gram(phi)
+    def _factor(self, phi, row):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            k = self._gram(phi)
         ky = k + self.JITTER * np.eye(self.data.n)
+        if not np.isfinite(ky).all():
+            raise GramFactorError("noisy Gram matrix is not finite at phi=%s" % phi, row)
         try:
-            cf = cho_factor(ky, lower=True)
+            cf = cho_factor(ky, lower=True, check_finite=False)  # checked above
         except np.linalg.LinAlgError as exc:
-            raise InvalidArgumentError(
-                "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc)
+            raise GramFactorError(
+                "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc), row
             ) from exc
         return k, cf
 
@@ -270,7 +281,7 @@ class GPHyperparameterTarget(TargetModel):
         xb, single = _as_batch(x, self.dim)
         out = np.empty(xb.shape[0])
         for i, phi in enumerate(xb):
-            _, cf = self._factor(phi)
+            _, cf = self._factor(phi, i)
             alpha = cho_solve(cf, self.data.y)
             logdet = 2.0 * np.log(np.diag(cf[0])).sum()
             lp, _ = self._prior_terms(phi)
@@ -281,7 +292,7 @@ class GPHyperparameterTarget(TargetModel):
         xb, single = _as_batch(x, self.dim)
         out = np.empty_like(xb)
         for i, phi in enumerate(xb):
-            k, cf = self._factor(phi)
+            k, cf = self._factor(phi, i)
             alpha = cho_solve(cf, self.data.y)
             kinv = cho_solve(cf, np.eye(self.data.n))
             dk1 = k

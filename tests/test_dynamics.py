@@ -24,6 +24,7 @@ from parvikit.dynamics import (
     wnes_lookahead,
     wnes_step,
 )
+from parvikit.harness import default_hyperparameters
 from parvikit.smoothing import FirstVariation, blob_first_variation
 from parvikit.targets import GaussianTarget, gmm_target, gp_target, synthetic_gp_data
 
@@ -38,10 +39,6 @@ def _fv_zero(state):
 
 class TestDynamicsConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DynamicsConfig(metric="X")
-        with pytest.raises(ConfigurationError):
-            DynamicsConfig(smoothing="RBF")
         with pytest.raises(ConfigurationError):
             DynamicsConfig(weight_mode="BD")
         with pytest.raises(ConfigurationError):
@@ -229,7 +226,7 @@ class TestSteppers:
 
     def test_kwgad_single_particle_scales_by_lambda(self):
         lam = 2.5
-        cfg = DynamicsConfig(metric="KW", eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=lam)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=lam)
         state = random_state(1, 2, seed=3, with_velocity=True)
         out = kwgad_step(state, _fv_zero(state), cfg, StepRng(0))
         # C^lambda = lambda I and the coupling term vanishes at the mean
@@ -238,7 +235,7 @@ class TestSteppers:
         )
 
     def test_kwgad_zero_velocity_first_step(self):
-        cfg = DynamicsConfig(metric="KW", eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=1.0)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=1.0)
         state = random_state(3, 2, seed=4)
         grad = np.random.default_rng(6).normal(size=(3, 2))
         out = kwgad_step(state, FirstVariation(u=np.zeros(3), grad_u=grad), cfg, StepRng(0))
@@ -247,7 +244,7 @@ class TestSteppers:
 
     def test_kwgad_two_particle_hand_value(self):
         # w = (1/2, 1/2), x = (0, 2), v = (1, -1): m = 1, C = 1, sum w v v^T = 1
-        cfg = DynamicsConfig(metric="KW", eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=0.3)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4, lambda_kw=0.3)
         state = ParticleState(
             positions=np.array([[0.0], [2.0]]),
             velocities=np.array([[1.0], [-1.0]]),
@@ -264,7 +261,7 @@ class TestSteppers:
         )
 
     def test_sgad_single_particle_reduces_to_wgad(self):
-        cfg = DynamicsConfig(metric="S", eta_pos=0.1, eta_vel=0.5, gamma=0.4)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4)
         state = random_state(1, 2, seed=7, with_velocity=True)
         grad = np.random.default_rng(8).normal(size=(1, 2))
         fv = FirstVariation(u=np.zeros(1), grad_u=grad)
@@ -274,7 +271,7 @@ class TestSteppers:
         assert np.allclose(out.velocities, ref.velocities, atol=1e-15)
 
     def test_sgad_zero_velocity_keeps_positions(self):
-        cfg = DynamicsConfig(metric="S", eta_pos=0.1, eta_vel=0.5, gamma=0.4)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4)
         state = random_state(4, 2, seed=9)
         grad = np.random.default_rng(10).normal(size=(4, 2))
         out = sgad_step(state, FirstVariation(u=np.zeros(4), grad_u=grad), cfg, StepRng(0), h=2.0)
@@ -283,7 +280,7 @@ class TestSteppers:
 
     def test_sgad_two_particle_hand_value(self):
         # positions (0, 2), h = 4, v = (1, 0): particle-1 drift = w1*1*1 + w2*e^-1*0
-        cfg = DynamicsConfig(metric="S", eta_pos=0.1, eta_vel=0.5, gamma=0.4)
+        cfg = DynamicsConfig(eta_pos=0.1, eta_vel=0.5, gamma=0.4)
         state = ParticleState(
             positions=np.array([[0.0], [2.0]]),
             velocities=np.array([[1.0], [0.0]]),
@@ -384,18 +381,41 @@ class TestWnes:
         assert np.array_equal(a.positions, b.positions)
 
     def test_zero_eta_is_pure_extrapolation(self):
-        state = random_state(3, 2, seed=3).replace(iteration=4)
-        prev = state.positions - 0.5
+        # the velocity slot holds x_k - x_{k-1}
+        state = random_state(3, 2, seed=3).replace(iteration=4, velocities=np.full((3, 2), 0.5))
         fv = FirstVariation(
             u=np.zeros(3), grad_u=np.random.default_rng(4).normal(size=(3, 2))
         )
-        out = wnes_step(state, prev, fv, eta_pos=0.0, k=5)
-        assert np.allclose(out.positions, wnes_lookahead(state, prev, 5), atol=1e-15)
+        out = wnes_step(state, fv, eta_pos=0.0, k=5)
+        assert np.allclose(out.positions, state.positions + 0.5 * 4.0 / 7.0, atol=1e-15)
+        assert np.array_equal(out.positions, wnes_lookahead(state, 5))
+        assert np.array_equal(out.velocities, out.positions - state.positions)
 
     def test_rejects_bad_counter(self):
         state = random_state(2, 1, seed=5)
         with pytest.raises(InvalidArgumentError):
-            wnes_step(state, state.positions, _fv_zero(state), eta_pos=0.1, k=0)
+            wnes_step(state, _fv_zero(state), eta_pos=0.1, k=0)
+
+    def test_resume_from_mid_run_state_is_bit_identical(self):
+        # the stepper is a pure map: a fresh stepper given a saved state
+        # continues exactly as the stepper that produced it
+        target = gmm_target(2)
+        cfg = DynamicsConfig(**default_hyperparameters("WNES-BLOB", "gmm"))
+        state = random_state(16, 2, seed=0)
+        stepper = make_stepper("WNES-BLOB", target, cfg, KernelConfig(), StepRng(0))
+        for _ in range(5):
+            state = stepper(state)
+        resumed = make_stepper("WNES-BLOB", target, cfg, KernelConfig(), StepRng(0))
+        saved = ParticleState(state.positions.copy(), state.velocities.copy(),
+                              state.weights.copy(), state.iteration)
+        for _ in range(20):
+            before = state.positions
+            state, saved = stepper(state), resumed(saved)
+            assert np.array_equal(saved.positions, state.positions)
+            assert np.array_equal(saved.velocities, state.velocities)
+            assert np.array_equal(saved.weights, state.weights)
+            assert np.array_equal(state.velocities, state.positions - before)
+        assert state.iteration == 25
 
     def test_nesterov_recursion_oracle(self):
         # M = 1, Gaussian target, fixed h: grad_u(y) = y
@@ -479,8 +499,8 @@ class TestRegistry:
         fv = FirstVariation(u=np.full(5, 3.3), grad_u=np.zeros((5, 2)))
         cfg_by_metric = {
             "W": DynamicsConfig(weight_mode="CA", eta_wei=0.1, warmup=False),
-            "KW": DynamicsConfig(metric="KW", weight_mode="CA", eta_wei=0.1, warmup=False),
-            "S": DynamicsConfig(metric="S", weight_mode="CA", eta_wei=0.1, warmup=False),
+            "KW": DynamicsConfig(weight_mode="CA", eta_wei=0.1, warmup=False),
+            "S": DynamicsConfig(weight_mode="CA", eta_wei=0.1, warmup=False),
         }
         for metric, cfg in cfg_by_metric.items():
             step = {"W": wgad_step, "KW": kwgad_step}.get(metric)

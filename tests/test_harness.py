@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parvikit import cli
-from parvikit.dynamics import ConfigurationError, StepRng
+from parvikit.dynamics import ConfigurationError, NumericalDivergenceError, StepRng
 from parvikit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -139,6 +139,15 @@ class TestRunExperiment:
         assert [r.iteration for r in records] == [0, 5, 10]
         assert state.iteration == 10
 
+    @pytest.mark.parametrize("method", ["SGAD-CA-BLOB", "SGAD-CA-GFSD"])
+    def test_gp_divergence_names_particle_and_iteration(self, method):
+        # with the defaults-table step sizes these blow up the GP hyperparameters
+        # within 8 steps; the failing Gram factorization is a numerical divergence
+        cfg = ExperimentConfig(method=method, target="gp", particles=32, iterations=8,
+                               record_every=8)
+        with pytest.raises(NumericalDivergenceError, match=r"particle \d+ at iteration [67]\b"):
+            run_experiment(cfg)
+
     def test_final_w2_improves_from_init(self):
         cfg = parse_config_text(TINY.replace("iterations=10", "iterations=200"))
         records, _ = run_experiment(cfg)
@@ -237,6 +246,13 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method=NOPE\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
+
+    def test_divergence_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gp.cfg"
+        cfg.write_text("method=SGAD-CA-GFSD\ntarget=gp\nparticles=32\niterations=8\n"
+                       "record_every=8\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "first variation diverged for particle" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -9,6 +9,7 @@ from parvikit.targets import (
     GaussianMixtureTarget,
     GaussianTarget,
     GPData,
+    GramFactorError,
     ParseError,
     UnsupportedOperationError,
     gmm_target,
@@ -173,6 +174,20 @@ class TestGpTarget:
     def test_too_few_observations(self):
         with pytest.raises(InvalidArgumentError):
             gp_target(GPData(x=np.array([1.0]), y=np.array([2.0])))
+
+    def test_bad_gram_is_a_numerical_error_naming_the_row(self):
+        t = gp_target(synthetic_gp_data(n=5))
+        # exp(800) overflows the amplitude: the Gram matrix is not finite
+        with pytest.raises(GramFactorError, match="not finite") as info:
+            t.log_density(np.array([[0.0, -10.0], [800.0, 0.0]]))
+        assert info.value.row == 1
+        # a huge amplitude and lengthscale give a rank-one Gram that swamps the jitter
+        with pytest.raises(GramFactorError, match="not positive definite") as info:
+            t.score(np.array([[0.0, -10.0], [0.0, -10.0], [160.0, -134.0]]))
+        assert info.value.row == 2
+        # a point of the wrong dimension stays a usage error
+        with pytest.raises(InvalidArgumentError):
+            t.log_density(np.zeros(3))
 
 
 class TestDataIngestion:
