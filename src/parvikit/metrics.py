@@ -64,9 +64,10 @@ def _cost_matrix(a: WeightedCloud, b: WeightedCloud) -> np.ndarray:
 def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     """Exact 2-Wasserstein distance via an LP on the dense squared-distance cost.
 
-    Solved with the HiGHS simplex; the optimal plan's marginals are verified
-    against the input masses to 1e-9. Instances with K_a*K_b beyond the size
-    guard must use wasserstein2_sinkhorn instead.
+    Solved with the HiGHS simplex at a primal feasibility tolerance of 1e-10;
+    the optimal plan's marginals are verified against the input masses to
+    1e-9. Instances with K_a*K_b beyond the size guard must use
+    wasserstein2_sinkhorn instead.
     """
     ka, kb = a.points.shape[0], b.points.shape[0]
     if ka * kb > SIZE_GUARD:
@@ -88,7 +89,9 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
         shape=(ka + kb, ka * kb),
     ).tocsr()[:-1]
     b_eq = np.concatenate([a.masses, b.masses])[:-1]
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default primal feasibility (1e-7) would let plans fail the 1e-9 check
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError("transport LP failed: %s" % res.message)
     plan = res.x.reshape(ka, kb)

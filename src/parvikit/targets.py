@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 from scipy.special import logsumexp
 
 from .core import InvalidArgumentError
@@ -235,9 +236,14 @@ class GPData:
 class GPHyperparameterTarget(TargetModel):
     """2-D posterior over (log-amplitude, log-inverse-lengthscale) of a GP regression.
 
-    Kernel K_ij = exp(phi1) * exp(-exp(phi2) * (x_i - x_j)^2), noisy Gram
-    K_y = K + 0.04 I. The score uses the marginal-likelihood gradient
-    identities with a Cholesky factorization; no Hessian is provided.
+    Kernel K_ij = exp(phi1 - exp(phi2) * (x_i - x_j)^2), noisy Gram
+    K_y = K + 0.04 I. Each point costs one Cholesky factorization of K_y,
+    shared by the potential and the score: alpha = K_y^-1 y and log det K_y
+    come from the factor, and K_y^-1 from LAPACK dpotri on that same factor.
+    The marginal-likelihood gradient is 1/2 sum((alpha alpha^T - K_y^-1) o dK)
+    (Rasmussen & Williams, GPML 2006, sec. 5.4.1), with the trace part taken
+    as an elementwise sum over the triangle dpotri fills, so no n x n matrix
+    product is formed. No Hessian is provided.
     """
 
     has_hessian = False
@@ -253,23 +259,7 @@ class GPHyperparameterTarget(TargetModel):
         self.prior_mode = prior_mode
         diff = data.x[:, None] - data.x[None, :]
         self._d2 = diff * diff
-
-    def _gram(self, phi):
-        return np.exp(phi[0]) * np.exp(-np.exp(phi[1]) * self._d2)
-
-    def _factor(self, phi, row):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            k = self._gram(phi)
-        ky = k + self.JITTER * np.eye(self.data.n)
-        if not np.isfinite(ky).all():
-            raise GramFactorError("noisy Gram matrix is not finite at phi=%s" % phi, row)
-        try:
-            cf = cho_factor(ky, lower=True, check_finite=False)  # checked above
-        except np.linalg.LinAlgError as exc:
-            raise GramFactorError(
-                "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc), row
-            ) from exc
-        return k, cf
+        self._upper_ones = np.triu(np.ones((data.n, data.n)))
 
     def _prior_terms(self, phi):
         if self.prior_mode == "none":
@@ -277,31 +267,68 @@ class GPHyperparameterTarget(TargetModel):
         q = 1.0 + phi @ phi
         return -np.log(q), -2.0 * phi / q
 
+    def _evaluate(self, xb, with_score):
+        """(log density, score or None) at the batch xb (m, 2), one factorization per row."""
+        n, y = self.data.n, self.data.y
+        logp = np.empty(xb.shape[0])
+        grad = np.empty_like(xb) if with_score else None
+        for i, phi in enumerate(xb):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                inv_len = np.exp(phi[1])
+                k = self._d2 * -inv_len
+                k += phi[0]
+                np.exp(k, out=k)
+            ky = k.copy() if with_score else k
+            ky.flat[:: n + 1] += self.JITTER
+            # 0 <= K_ij <= K_ii = exp(phi1), and a nan phi or an infinite exp(phi2)
+            # makes the diagonal nan, so ky is finite iff its diagonal is
+            if not np.isfinite(np.diagonal(ky)).all():
+                raise GramFactorError("noisy Gram matrix is not finite at phi=%s" % phi, i)
+            try:
+                # ky is symmetric, so ky.T is it in Fortran order: LAPACK factors in place
+                cf = cho_factor(ky.T, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise GramFactorError(
+                    "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc), i
+                ) from exc
+            alpha = cho_solve(cf, y, check_finite=False)
+            logdet = 2.0 * np.log(np.diagonal(cf[0])).sum()
+            lp, gp = self._prior_terms(phi)
+            logp[i] = -0.5 * y @ alpha - 0.5 * logdet + lp
+            if not with_score:
+                continue
+            # In cf[0].T, the C-ordered view, the factor sits on and above the
+            # diagonal and cho_factor leaves input below it. Zeroed there, dpotri
+            # turns the factor into that triangle of K_y^-1, and its view tri gives
+            # tr(K_y^-1 S) = 2<tri, S> - <diag tri, diag S> for any symmetric S.
+            np.multiply(cf[0].T, self._upper_ones, out=cf[0].T)
+            # info is 0: the factor cho_factor returned has a positive diagonal
+            kinv, _ = dpotri(cf[0], lower=1, overwrite_c=1)
+            tri = kinv.T
+            tr1 = 2.0 * np.vdot(tri, k) - np.diagonal(tri) @ np.diagonal(k)
+            # d2 o K has a zero diagonal, so its trace needs no diagonal correction
+            dk2 = self._d2 * k
+            tr2 = 2.0 * np.vdot(tri, dk2)
+            grad[i, 0] = 0.5 * (alpha @ (k @ alpha) - tr1) + gp[0]
+            grad[i, 1] = -0.5 * inv_len * (alpha @ (dk2 @ alpha) - tr2) + gp[1]
+        return logp, grad
+
     def log_density(self, x):
         xb, single = _as_batch(x, self.dim)
-        out = np.empty(xb.shape[0])
-        for i, phi in enumerate(xb):
-            _, cf = self._factor(phi, i)
-            alpha = cho_solve(cf, self.data.y)
-            logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-            lp, _ = self._prior_terms(phi)
-            out[i] = -0.5 * self.data.y @ alpha - 0.5 * logdet + lp
-        return float(out[0]) if single else out
+        logp, _ = self._evaluate(xb, with_score=False)
+        return float(logp[0]) if single else logp
 
     def score(self, x):
         xb, single = _as_batch(x, self.dim)
-        out = np.empty_like(xb)
-        for i, phi in enumerate(xb):
-            k, cf = self._factor(phi, i)
-            alpha = cho_solve(cf, self.data.y)
-            kinv = cho_solve(cf, np.eye(self.data.n))
-            dk1 = k
-            dk2 = -np.exp(phi[1]) * self._d2 * k
-            _, gp = self._prior_terms(phi)
-            for p, dk in enumerate((dk1, dk2)):
-                out[i, p] = 0.5 * alpha @ dk @ alpha - 0.5 * np.trace(kinv @ dk)
-            out[i] += gp
-        return out[0] if single else out
+        _, grad = self._evaluate(xb, with_score=True)
+        return grad[0] if single else grad
+
+    def potential_and_score(self, x):
+        xb, single = _as_batch(x, self.dim)
+        logp, grad = self._evaluate(xb, with_score=True)
+        if single:
+            return -float(logp[0]), -grad[0]
+        return -logp, -grad
 
 
 def gp_target(data: GPData, prior_mode: str = "log1p_quadratic") -> GPHyperparameterTarget:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_state
 from parvikit.core import InvalidArgumentError, ParticleState
+from parvikit.harness import ExperimentConfig, run_experiment
 from parvikit.metrics import (
     ConvergenceError,
     SizeGuardError,
@@ -97,6 +98,15 @@ class TestExactW2:
         a = _cloud([[0.0]], [1.0])
         b = _cloud([[1.0], [0.0]], [0.75, 0.25])
         assert wasserstein2_exact(a, b) == pytest.approx(np.sqrt(0.75), abs=1e-9)
+
+    def test_plan_marginals_hold_on_a_run_that_used_to_fail_the_check(self):
+        # At HiGHS's default primal feasibility (1e-7) one checkpoint's plan missed
+        # its marginals by 3.5e-9 and the run raised instead of recording W2.
+        cfg = ExperimentConfig(method="WGAD-CA-BLOB", target="gmm:2", particles=64,
+                               reference_samples=256, iterations=500, record_every=50, seed=0)
+        records, _ = run_experiment(cfg)
+        assert len(records) == 11
+        assert all(np.isfinite(r.w2) for r in records)
 
 
 class TestSinkhorn:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import parvikit.targets
 from conftest import fd_gradient, rel_err
 from parvikit.core import InvalidArgumentError
 from parvikit.targets import (
@@ -141,6 +142,36 @@ class TestGmmTarget:
         assert np.all(np.isfinite(t.hessian_log_density(x)))
 
 
+def _dense_gp_reference(t, phi):
+    """(log density, score) of a GP target at phi from dense solve, slogdet and inverse."""
+    x, y = t.data.x, t.data.y
+    d2 = (x[:, None] - x[None, :]) ** 2
+    k = np.exp(phi[0]) * np.exp(-np.exp(phi[1]) * d2)
+    ky = k + t.JITTER * np.eye(x.size)
+    _, logdet = np.linalg.slogdet(ky)
+    alpha = np.linalg.solve(ky, y)
+    kinv = np.linalg.inv(ky)
+    logp = -0.5 * y @ alpha - 0.5 * logdet
+    grad = np.array([
+        0.5 * alpha @ dk @ alpha - 0.5 * np.trace(kinv @ dk)
+        for dk in (k, -np.exp(phi[1]) * d2 * k)
+    ])
+    if t.prior_mode == "log1p_quadratic":
+        q = 1.0 + phi @ phi
+        logp -= np.log(q)
+        grad -= 2.0 * phi / q
+    return logp, grad
+
+
+def _irregular_csv_data(tmp_path):
+    rng = np.random.default_rng(21)
+    x = np.sort(rng.uniform(390.0, 720.0, size=90))
+    y = np.tanh((x - 600.0) / 40.0) + 0.1 * rng.standard_normal(x.size)
+    p = tmp_path / "scan.csv"
+    p.write_text("range,logratio\n" + "".join("%.17g,%.17g\n" % (a, b) for a, b in zip(x, y)))
+    return load_two_column_csv(p)
+
+
 class TestGpTarget:
     def test_smoke_at_init_mean(self):
         data = synthetic_gp_data(n=5)
@@ -188,6 +219,53 @@ class TestGpTarget:
         # a point of the wrong dimension stays a usage error
         with pytest.raises(InvalidArgumentError):
             t.log_density(np.zeros(3))
+
+    def test_bad_gram_on_the_fused_path_names_the_row(self):
+        t = gp_target(synthetic_gp_data(n=5))
+        for bad in ([800.0, 0.0], [0.0, 800.0], [np.nan, -10.0]):
+            with pytest.raises(GramFactorError, match="not finite") as info:
+                t.potential_and_score(np.array([[0.0, -10.0], bad]))
+            assert info.value.row == 1
+        with pytest.raises(GramFactorError, match="not positive definite") as info:
+            t.potential_and_score(np.array([[0.0, -10.0], [0.0, -10.0], [160.0, -134.0]]))
+        assert info.value.row == 2
+        with pytest.raises(InvalidArgumentError):
+            t.potential_and_score(np.zeros(3))
+
+    @pytest.mark.parametrize("prior_mode", ["log1p_quadratic", "none"])
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_matches_dense_reference(self, prior_mode, source, tmp_path):
+        data = synthetic_gp_data() if source == "synthetic" else _irregular_csv_data(tmp_path)
+        t = gp_target(data, prior_mode=prior_mode)
+        rng = np.random.default_rng(5)
+        phis = np.column_stack([rng.uniform(-1.0, 1.0, 100), rng.uniform(-11.0, -8.0, 100)])
+        logp, grad = t.log_density(phis), t.score(phis)
+        for phi, lp, g in zip(phis, logp, grad):
+            ref_lp, ref_g = _dense_gp_reference(t, phi)
+            assert abs(lp - ref_lp) <= 1e-10 * abs(ref_lp)
+            assert rel_err(g, ref_g) <= 1e-10
+        potential, neg_score = t.potential_and_score(phis)
+        assert np.array_equal(potential, -logp)
+        assert np.array_equal(neg_score, -grad)
+        u, v = t.potential_and_score(phis[3])
+        assert u == -t.log_density(phis[3])
+        assert np.array_equal(v, -t.score(phis[3]))
+
+    def test_one_factorization_per_point(self, monkeypatch):
+        calls = []
+        factor = parvikit.targets.cho_factor
+
+        def counting_factor(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(parvikit.targets, "cho_factor", counting_factor)
+        t = gp_target(synthetic_gp_data(n=30))
+        phis = np.column_stack([np.linspace(-1.0, 1.0, 7), np.linspace(-11.0, -8.0, 7)])
+        t.potential_and_score(phis)
+        assert len(calls) == 7
+        t.log_density(phis)
+        assert len(calls) == 14
 
 
 class TestDataIngestion:
