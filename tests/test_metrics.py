@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
+import parvikit.metrics
 from conftest import random_state
+from parvikit import cli
 from parvikit.core import InvalidArgumentError, ParticleState
 from parvikit.harness import ExperimentConfig, run_experiment
 from parvikit.metrics import (
@@ -22,6 +26,64 @@ def _cloud(points, masses=None):
     if masses is None:
         return WeightedCloud.uniform(points)
     return WeightedCloud(points=points, masses=np.asarray(masses, dtype=float))
+
+
+def _dense_w2(a, b):
+    """Oracle: the transport LP over all K_a*K_b cells on the direct-difference cost.
+
+    The cost is scaled to a largest entry of 1 for HiGHS, whose tolerances
+    are absolute, and the value scaled back.
+    """
+    cost = ((a.points[:, None, :] - b.points[None, :, :]) ** 2).sum(axis=2)
+    top = cost.max() or 1.0
+    ka, kb = cost.shape
+    var_idx = np.arange(ka * kb)
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * ka * kb),
+         (np.concatenate([var_idx // kb, ka + var_idx % kb]), np.concatenate([var_idx, var_idx]))),
+        shape=(ka + kb, ka * kb),
+    ).tocsr()[:-1]
+    res = linprog(cost.ravel() / top, A_eq=a_eq, b_eq=np.concatenate([a.masses, b.masses])[:-1],
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(np.sqrt(max(res.fun * top, 0.0)))
+
+
+def _oracle_cases():
+    """(label, a, b): the edge cases of the sparse exact solver."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (1, 2, 10):
+        cases.append(("nonuniform d=%d" % d,
+                      _cloud(rng.normal(size=(20, d)), rng.dirichlet(np.ones(20))),
+                      _cloud(rng.normal(size=(30, d)) + 0.5, rng.dirichlet(np.ones(30)))))
+    za = rng.dirichlet(np.ones(12))
+    za[[0, 5, 11]] = 0.0
+    zb = rng.dirichlet(np.ones(15))
+    zb[[3, 14]] = 0.0
+    pa, pb = rng.normal(size=(12, 2)), rng.normal(size=(15, 2))
+    cases.append(("zero mass in a", _cloud(pa, za / za.sum()), _cloud(pb)))
+    cases.append(("zero mass in b", _cloud(pa), _cloud(pb, zb / zb.sum())))
+    cases.append(("zero mass in both", _cloud(pa, za / za.sum()), _cloud(pb, zb / zb.sum())))
+    dup = rng.normal(size=(6, 3))
+    cases.append(("duplicated points", _cloud(np.repeat(dup, 3, axis=0)),
+                  _cloud(np.concatenate([dup, dup + 0.1]))))
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    cases.append(("equidistant ties", _cloud(grid), _cloud(grid + 0.5)))
+    cases.append(("identical", _cloud(grid), _cloud(grid[::-1])))
+    cases.append(("1 x K", _cloud(rng.normal(size=(1, 2))),
+                  _cloud(rng.normal(size=(40, 2)), rng.dirichlet(np.ones(40)))))
+    cases.append(("K x 1", _cloud(rng.normal(size=(40, 3)), rng.dirichlet(np.ones(40))),
+                  _cloud(rng.normal(size=(1, 3)))))
+    modes = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    for k in range(4):
+        xa = rng.normal(size=(64, 2)) + modes[rng.integers(0, 2, 64)]
+        xb = rng.normal(size=(512, 2)) * 0.8 + modes[rng.integers(0, 2, 512)]
+        wa = rng.dirichlet(np.ones(64)) if k % 2 else None
+        cases.append(("64 x 512 #%d" % k, _cloud(xa, wa), _cloud(xb)))
+    return cases
 
 
 class TestWeightedCloud:
@@ -107,6 +169,70 @@ class TestExactW2:
         records, _ = run_experiment(cfg)
         assert len(records) == 11
         assert all(np.isfinite(r.w2) for r in records)
+
+
+class TestSparseExactW2:
+    def test_matches_dense_oracle(self, monkeypatch):
+        solves = []
+        real = parvikit.metrics.linprog
+
+        def counting_linprog(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parvikit.metrics, "linprog", counting_linprog)
+        rounds = {}
+        for label, a, b in _oracle_cases():
+            solves.clear()
+            value = wasserstein2_exact(a, b)
+            rounds[label] = len(solves)
+            oracle = _dense_w2(a, b)
+            assert abs(value - oracle) <= 1e-10 * max(oracle, 1e-12), (label, value, oracle)
+        # at least one case needed the repair round and still agrees
+        assert max(rounds.values()) >= 2, rounds
+
+    @pytest.mark.parametrize("offset", [1e3, 1e5])
+    def test_clouds_far_from_the_origin(self, offset):
+        # the squared-distance expansion cancels at large offsets: uncentred, the
+        # cost of spread-1e-3 clouds was 3.6e-6 off at 1e3 and 28% off at 1e5
+        rng = np.random.default_rng(12)
+        a = _cloud(offset + 1e-3 * rng.normal(size=(32, 2)))
+        b = _cloud(offset + 1e-3 * rng.normal(size=(32, 2)))
+        oracle = _dense_w2(a, b)
+        assert abs(wasserstein2_exact(a, b) - oracle) <= 1e-9 * oracle
+
+    def _zero_duals(self, monkeypatch):
+        """linprog whose duals are shifted to 0: every reduced cost is C >= 0, yet
+        the c-transform bound sum_j b_j min_i C_ij stays below the optimum."""
+        calls = []
+        real = parvikit.metrics.linprog
+
+        def shifted(*args, **kwargs):
+            calls.append(1)
+            res = real(*args, **kwargs)
+            res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+            return res
+
+        monkeypatch.setattr(parvikit.metrics, "linprog", shifted)
+        return calls
+
+    def test_open_gap_with_no_cell_to_add_raises(self, monkeypatch):
+        calls = self._zero_duals(monkeypatch)
+        rng = np.random.default_rng(13)
+        a = _cloud(rng.normal(size=(8, 2)))
+        b = _cloud(rng.normal(size=(9, 2)) + 1.0)
+        with pytest.raises(RuntimeError, match="no cell to add"):
+            wasserstein2_exact(a, b)
+        assert len(calls) == 1
+
+    def test_cli_exits_2_on_a_stalled_gap(self, monkeypatch, tmp_path, capsys):
+        self._zero_duals(monkeypatch)
+        pa = tmp_path / "a.csv"
+        pb = tmp_path / "b.csv"
+        pa.write_text("0,0\n1,0\n0,1\n")
+        pb.write_text("2,2\n3,1\n")
+        assert cli.main(["eval-w2", "--a", str(pa), "--b", str(pb)]) == 2
+        assert "no cell to add" in capsys.readouterr().err
 
 
 class TestSinkhorn:
