@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,13 +135,47 @@ def rbf_kernel_grad(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     return -(2.0 / h) * (x - y) * k
 
 
-def squared_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of x and rows of y."""
+class Workspace:
+    """Scratch of one stepper for clouds of shape (M, d).
+
+    d2 and k hold a step's squared distances and RBF kernel, and a, b and c
+    are free (M, M) work buffers; ridge is lambda * I_d for the KW metric.
+    Nothing written to them outlives the call that wrote it, and nothing a
+    step returns is a view of them. The five matrices share one anonymous
+    memory mapping, so their pages are faulted in once and go back to the OS
+    whole when the workspace is dropped, instead of cycling through the heap
+    on every step.
+    """
+
+    __slots__ = ("shape", "ridge", "d2", "k", "a", "b", "c", "_map")
+
+    def __init__(self, m: int, d: int, ridge: float = 0.0):
+        self.shape = (m, d)
+        self.ridge = ridge * np.eye(d)
+        stride = -(-m * m // 8) * 8  # doubles per matrix, rounded to 64 bytes
+        self._map = mmap.mmap(-1, 5 * 8 * stride)
+        flat = np.frombuffer(self._map, dtype=float)
+        self.d2, self.k, self.a, self.b, self.c = (
+            flat[i * stride:i * stride + m * m].reshape(m, m) for i in range(5)
+        )
+
+
+def squared_distances(x: np.ndarray, y: np.ndarray | None = None,
+                      out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances between rows of x and rows of y.
+
+    out receives the result and work is overwritten as scratch; both are
+    (len(x), len(y)) float arrays, allocated afresh when not given.
+    """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
     xn = (x * x).sum(axis=1)
     yn = xn if y is x else (y * y).sum(axis=1)
-    d2 = xn[:, None] + yn[None, :] - 2.0 * (x @ y.T)
+    # (xn_i + yn_j) - 2 (x y^T)_ij with the same rounding steps, written in place
+    xy2 = np.matmul(x, y.T, out=work)
+    xy2 *= 2.0
+    d2 = np.add(xn[:, None], yn[None, :], out=out)
+    d2 -= xy2
     # rounding can push tiny true distances slightly negative
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -161,9 +196,9 @@ def bandwidth_nn_from_d2(d2: np.ndarray) -> float:
     m = d2.shape[0]
     if m < 2:
         raise DegenerateInputError("nearest-neighbor bandwidth needs at least 2 particles")
-    np.fill_diagonal(d2, np.inf)
+    d2.flat[:: m + 1] = np.inf  # the diagonal; cheaper than np.fill_diagonal at small M
     h = float(d2.min(axis=1).sum()) / m
-    np.fill_diagonal(d2, 0.0)
+    d2.flat[:: m + 1] = 0.0
     if h <= 0.0:
         return BANDWIDTH_FLOOR
     return h
@@ -179,15 +214,18 @@ def bandwidth_nn(positions: np.ndarray) -> float:
     return bandwidth_nn_from_d2(squared_distances(positions))
 
 
+def weighted_mean_covariance(x: np.ndarray, w: np.ndarray):
+    """Weighted mean and symmetrized population covariance of the rows of x."""
+    mean = w @ x
+    centered = x - mean
+    cov = (centered * w[:, None]).T @ centered
+    return mean, 0.5 * (cov + cov.T)
+
+
 def empirical_moments(state: ParticleState, ridge: float = 0.0) -> EmpiricalMoments:
     """Weighted mean and population covariance of the particle cloud, plus covariance + ridge*I."""
     if ridge < 0:
         raise InvalidArgumentError("ridge must be nonnegative")
-    w = state.weights
-    x = state.positions
-    mean = w @ x
-    centered = x - mean
-    cov = (centered * w[:, None]).T @ centered
-    cov = 0.5 * (cov + cov.T)
+    mean, cov = weighted_mean_covariance(state.positions, state.weights)
     reg = cov + ridge * np.eye(state.dim)
     return EmpiricalMoments(mean=mean, covariance=cov, regularized_covariance=reg, ridge=ridge)

@@ -18,9 +18,10 @@ from .core import (
     InvalidArgumentError,
     KernelConfig,
     ParticleState,
-    empirical_moments,
+    Workspace,
     rbf_kernel_matrix,
     squared_distances,
+    weighted_mean_covariance,
 )
 from .smoothing import FirstVariation, first_variation
 from .targets import TargetModel
@@ -96,19 +97,18 @@ class StepRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & (2**64 - 1)
-        # resetting the cached bit generator's counter is ~4x cheaper than
-        # constructing a fresh Philox per call, which matters on the DK path
+        # one kept state dict, its counter set in place, rewinds the cached
+        # bit generator far more cheaply than a new Philox or state dict per
+        # call, which matters on the DK path
         self._bitgen = np.random.Philox(key=self.seed)
-        self._template = self._bitgen.state
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
         self._gen = np.random.Generator(self._bitgen)
 
     def stream(self, iteration: int, tag: int) -> np.random.Generator:
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.array([0, 0, int(iteration), int(tag)], dtype=np.uint64),
-            "key": state["state"]["key"],
-        }
-        self._bitgen.state = state
+        self._counter[2] = iteration
+        self._counter[3] = tag
+        self._bitgen.state = self._state
         return self._gen
 
 
@@ -179,7 +179,7 @@ def dk_resample(state: ParticleState, u, eta, rng: StepRng) -> DkOutcome:
     """
     w = state.weights
     m = state.num_particles
-    if not np.all(w == w[0]):
+    if not (w == w[0]).all():
         raise InvalidArgumentError("duplicate/kill requires uniform weights")
     u = np.asarray(u, dtype=float)
     rates = -eta * (u - w @ u)
@@ -229,8 +229,8 @@ def _finish(state, cfg, rng, new_pos, new_vel, u, counters=None):
         new_w, clamps = ca_weight_update(state.weights, u, eta, cfg.ca_variant)
         if counters is not None:
             counters["clamp_count"] += clamps
-    else:  # DK may also rewrite particle rows
-        staged = ParticleState._trusted(new_pos, new_vel, state.weights, state.iteration)
+    else:  # DK may also rewrite particle rows; a step without events returns staged as is
+        staged = ParticleState._trusted(new_pos, new_vel, state.weights.copy(), state.iteration)
         out = dk_resample(staged, u, eta, rng)
         new_pos, new_vel, new_w = out.state.positions, out.state.velocities, out.state.weights
         if counters is not None:
@@ -241,29 +241,31 @@ def _finish(state, cfg, rng, new_pos, new_vel, u, counters=None):
 # Metric terms of the accelerated step: (position move eta_pos*T(v), velocity coupling C(v)).
 
 
-def _w_terms(state, cfg, h, k):
+def _w_terms(state, cfg, h, k, ws):
     """Flat transport: the particles move along their own velocities, with no coupling."""
     return cfg.eta_pos * state.velocities, None
 
 
-def _kw_terms(state, cfg, h, k):
-    """Transport preconditioned by the regularized weighted covariance C_lambda."""
-    moments = empirical_moments(state, ridge=cfg.lambda_kw)
-    move = cfg.eta_pos * state.velocities @ moments.regularized_covariance.T
+def _kw_terms(state, cfg, h, k, ws):
+    """Transport preconditioned by the regularized weighted covariance C + lambda I."""
+    mean, cov = weighted_mean_covariance(state.positions, state.weights)
+    ridge = cfg.lambda_kw * np.eye(state.dim) if ws is None else ws.ridge
+    move = cfg.eta_pos * state.velocities @ (cov + ridge).T
     # coupling[i] = [sum_j w_j v_j v_j^T] (x_i - m)
     vv = (state.velocities * state.weights[:, None]).T @ state.velocities
-    return move, (state.positions - moments.mean) @ vv.T
+    return move, (state.positions - mean) @ vv.T
 
 
-def _s_terms(state, cfg, h, k):
+def _s_terms(state, cfg, h, k, ws):
     """Kernel-averaged transport with its velocity coupling."""
     x = state.positions
     if k is None:
         k = rbf_kernel_matrix(x, h=h)
-    kw = k * state.weights[None, :]
-    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j); the in-place
-    # products keep the M x M temporaries to two without changing a bit
-    coeff = state.velocities @ state.velocities.T
+    if ws is None:
+        ws = Workspace(*x.shape)
+    kw = np.multiply(k, state.weights[None, :], out=ws.a)
+    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j)
+    coeff = np.matmul(state.velocities, state.velocities.T, out=ws.b)
     coeff *= kw
     coupling = -(2.0 / h) * (x * coeff.sum(axis=1)[:, None] - coeff @ x)
     kw *= cfg.eta_pos
@@ -274,13 +276,14 @@ METRIC_TERMS = {"W": _w_terms, "KW": _kw_terms, "S": _s_terms}
 
 
 def gad_step(metric, state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng,
-             counters=None, h=None, k=None):
+             counters=None, h=None, k=None, ws=None):
     """Accelerated step: x += eta_pos T(v), v <- (1 - gamma eta_vel) v - eta_vel (C(v) + grad u).
 
     The metric fixes the transport T and the coupling C; h and k (the RBF
-    bandwidth and kernel matrix) are read by the S metric only.
+    bandwidth and kernel matrix) are read by the S metric only. ws is the
+    caller's Workspace, if any, for the S metric's scratch and KW's ridge.
     """
-    move, coupling = METRIC_TERMS[metric](state, cfg, h, k)
+    move, coupling = METRIC_TERMS[metric](state, cfg, h, k, ws)
     new_vel = (1.0 - cfg.gamma * cfg.eta_vel) * state.velocities
     if coupling is not None:
         new_vel = new_vel - cfg.eta_vel * coupling
@@ -382,7 +385,11 @@ class Stepper:
     """Deterministic one-iteration stepper for a registered method.
 
     A pure map of ParticleState apart from the weight-clamp, duplicate/kill and
-    floored-mixture counters it accumulates across calls.
+    floored-mixture counters it accumulates across calls. It also keeps a
+    Workspace of scratch buffers, sized on the first call and again only when
+    the cloud's shape changes; their contents never outlive a call, and the
+    returned state shares no memory with them. One stepper is therefore not
+    for concurrent use from two threads.
     """
 
     def __init__(self, spec: MethodSpec, target: TargetModel, cfg: DynamicsConfig,
@@ -393,6 +400,11 @@ class Stepper:
         self.kernel = kernel
         self.rng = rng
         self.counters = {"clamp_count": 0, "dk_event_count": 0, "floored_count": 0}
+        self._ws = None
+
+    def __getstate__(self):
+        # the workspace is scratch that the next call rebuilds, and its mmap cannot be pickled
+        return {**self.__dict__, "_ws": None}
 
     def __call__(self, state: ParticleState) -> ParticleState:
         spec, cfg = self.spec, self.cfg
@@ -400,14 +412,17 @@ class Stepper:
         if spec.kind == "wnes":
             at = ParticleState._trusted(wnes_lookahead(state, state.iteration + 1),
                                         state.velocities, state.weights, state.iteration)
-        d2 = squared_distances(at.positions)
+        ws = self._ws
+        if ws is None or ws.shape != state.positions.shape:
+            ws = self._ws = Workspace(*state.positions.shape, ridge=cfg.lambda_kw)
+        d2 = squared_distances(at.positions, out=ws.d2, work=ws.k)
         h = self.kernel.resolve(at.positions, d2)
-        k = d2 / -h
-        np.exp(k, out=k)  # in place: one M x M temporary fewer
+        k = np.divide(d2, -h, out=ws.k)
+        np.exp(k, out=k)
         if spec.kind == "svgd":
             return svgd_step(state, self.target, h, cfg.eta_pos, k=k)
         try:
-            fv = first_variation(at, self.target, h, spec.smoothing, d2=d2, k=k)
+            fv = first_variation(at, self.target, h, spec.smoothing, d2=d2, k=k, ws=ws)
         except (FloatingPointError, OverflowError) as exc:
             row = getattr(exc, "row", None)  # set by targets that know the failing point
             raise NumericalDivergenceError(
@@ -419,7 +434,7 @@ class Stepper:
             return wnes_step(state, fv, cfg.eta_pos, state.iteration + 1)
         if spec.kind == "first_order":
             return first_order_step(state, fv, cfg, self.rng, self.counters)
-        return gad_step(spec.metric, state, fv, cfg, self.rng, self.counters, h, k)
+        return gad_step(spec.metric, state, fv, cfg, self.rng, self.counters, h, k, ws)
 
 
 def make_stepper(method: str, target: TargetModel, cfg: DynamicsConfig | None = None,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParticleState, squared_distances
+from .core import ParticleState, Workspace, squared_distances
 from .targets import TargetModel, UnsupportedOperationError
 
 # Kernel mixture sums are floored here before taking logs, so that a cloud of
@@ -49,7 +49,7 @@ def _kernel_mixture(state: ParticleState, h: float, d2=None, k=None):
 
 
 def gfsd_first_variation(state: ParticleState, target: TargetModel, h: float,
-                         d2=None, k=None) -> FirstVariation:
+                         d2=None, k=None, ws=None) -> FirstVariation:
     """u[i] = -log pi(x_i) + log(sum_j w_j K_ij), with its gradient in the evaluation point."""
     x = state.positions
     w = state.weights
@@ -63,7 +63,7 @@ def gfsd_first_variation(state: ParticleState, target: TargetModel, h: float,
 
 
 def blob_first_variation(state: ParticleState, target: TargetModel, h: float,
-                         d2=None, k=None) -> FirstVariation:
+                         d2=None, k=None, ws=None) -> FirstVariation:
     """Kernel-density first variation with the extra repulsive sum sum_j w_j K_ij / mix_j."""
     x = state.positions
     w = state.weights
@@ -122,8 +122,12 @@ def stein_kernel_grad_y(x: np.ndarray, y: np.ndarray, target: TargetModel, h: fl
 
 
 def ksdd_first_variation(state: ParticleState, target: TargetModel, h: float,
-                         d2=None, k=None) -> FirstVariation:
-    """First variation of the kernelized Stein discrepancy under the particle cloud."""
+                         d2=None, k=None, ws=None) -> FirstVariation:
+    """First variation of the kernelized Stein discrepancy under the particle cloud.
+
+    The (M, M) intermediates go to ws's work buffers a, b and c when a
+    workspace is given; d2 and k are only read.
+    """
     if not target.has_hessian:
         raise UnsupportedOperationError("this smoothing rule needs a log-density Hessian")
     x = state.positions
@@ -132,22 +136,35 @@ def ksdd_first_variation(state: ParticleState, target: TargetModel, h: float,
     r2 = squared_distances(x) if d2 is None else d2
     if k is None:
         k = np.exp(r2 / -h)
+    if ws is None:
+        ws = Workspace(m, d)
     s, hess = target.score_and_hessian(x)  # (M, d), (M, d, d)
     c = 2.0 / h
-    sxsy = s @ s.T
     sx_dot = (s * x).sum(axis=1)
-    b = sx_dot[:, None] - s @ x.T  # b[i, j] = s_i . (x_i - x_j)
-    inner = sxsy + c * (b + b.T) + (2.0 * d / h - (4.0 / (h * h)) * r2)
-    gram = inner * k
+    # b[i, j] = s_i . (x_i - x_j), and
+    # inner = s s^T + c (b + b^T) + (2d/h - (4/h^2) r2), built in place
+    b = np.matmul(s, x.T, out=ws.b)
+    np.subtract(sx_dot[:, None], b, out=b)
+    inner = np.matmul(s, s.T, out=ws.a)
+    t = np.add(b, b.T, out=ws.c)
+    t *= c
+    inner += t
+    np.multiply(r2, 4.0 / (h * h), out=t)
+    np.subtract(2.0 * d / h, t, out=t)
+    inner += t
+    gram = np.multiply(inner, k, out=b)
     u = gram @ w  # u[i] = sum_j w_j k(x_j, x_i); gram is symmetric
-    kw = k * w[None, :]
+    kw = np.multiply(k, w[None, :], out=ws.c)
     kw_row = kw.sum(axis=1)
     # e[i, j] = x_j - x_i ("x" role is particle j, "y" role the evaluation point x_i);
     # every sum over j of coeff_ij * e_ij collapses to (C x)_i - (C 1)_i x_i.
     # In this convention e_ij . s_j = b[j, i] and e_ij . s_i = -b[i, j], and the
     # full e-directed coefficient c*sxsy + c^2(b + b^T) + 8/h^2 + 4d/h^2 - 8 r2/h^3
     # simplifies to c*inner + 8/h^2.
-    coeff = kw * (c * inner + 8.0 / (h * h))
+    coeff = inner
+    coeff *= c
+    coeff += 8.0 / (h * h)
+    coeff *= kw
     grad = coeff @ x - coeff.sum(axis=1)[:, None] * x
     # Hessian-directed terms: H(x_i) [sum_j w_j K_ij s_j - c sum_j w_j K_ij e_ij]
     kws = kw @ s
@@ -166,9 +183,10 @@ SMOOTHING_RULES = {
 
 
 def first_variation(state: ParticleState, target: TargetModel, h: float, rule: str,
-                    d2=None, k=None) -> FirstVariation:
+                    d2=None, k=None, ws=None) -> FirstVariation:
+    """The rule's first variation; d2 and k are reused when given, ws is scratch (see Workspace)."""
     try:
         fn = SMOOTHING_RULES[rule.upper()]
     except KeyError:
         raise ValueError("unknown smoothing rule %r" % rule) from None
-    return fn(state, target, h, d2=d2, k=k)
+    return fn(state, target, h, d2=d2, k=k, ws=ws)
