@@ -478,20 +478,27 @@ def load_point_cloud_csv(path) -> WeightedCloud:
 
     rows = []
     mass_col = None
+    width = None  # the header's column count, else the first data row's
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 if lineno == 1 and not rows:
                     names = [c.strip().lower() for c in row]
                     if "mass" in names:
                         mass_col = names.index("mass")
+                    width = len(row)
                     continue
                 raise ParseError("line %d: non-numeric cell in %r" % (lineno, row)) from None
+            width = width or len(values)
+            if len(values) != width:
+                raise ParseError("line %d: %d columns where the cloud has %d"
+                                 % (lineno, len(values), width))
+            rows.append(values)
     if not rows:
         raise ParseError("no data rows in %s" % path)
     arr = np.array(rows, dtype=float)

@@ -18,11 +18,12 @@ SIZE_GUARD = 2_000_000
 # are then 1e-13 of the largest cost, whatever the clouds' units.
 LP_COST_SCALE = 1e3
 GAP_RTOL = 1e-13
-# Entropic seed of its support: SEED_SWEEPS Sinkhorn sweeps at each eps of a
-# schedule that shrinks by SEED_FACTOR from max C down to SEED_EPS * max C.
-SEED_EPS = 3e-3
-SEED_FACTOR = 0.5
-SEED_SWEEPS = 5
+# Newton seed of its support: at most NEWTON_STEPS damped Newton steps on the
+# entropic semi-dual at each eps of a schedule that shrinks by NEWTON_FACTOR
+# from max C down to NEWTON_EPS * max C.
+NEWTON_EPS = 2e-3
+NEWTON_FACTOR = 0.25
+NEWTON_STEPS = 30
 
 
 class SizeGuardError(ValueError):
@@ -124,21 +125,69 @@ def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
     return (top + np.log(mat.sum(axis=1, keepdims=True)))[:, 0]
 
 
-def _entropic_support(cost, wa, wb):
-    """Cells whose reduced cost under scaled Sinkhorn potentials is within 2 eps.
+def _semi_dual(cost, wa, wb, u, eps):
+    """Entropic semi-dual F(u) and its plan, for row potentials u.
 
-    The column potential is the c-transform g_j = min_i (C_ij - f_i) of the
-    row potential, so every reduced cost is >= 0 and each column has a zero.
+    F(u) = sum_i a_i u_i + sum_j b_j g_j with the soft c-transform
+    g_j = -eps log sum_i exp((u_i - C_ij) / eps). The plan
+    P_ij = b_j softmax_i((u_i - C_ij) / eps) has the column sums b exactly,
+    and the gradient of F is a - P1.
     """
-    f = np.zeros(wa.shape[0])
-    g = np.zeros(wb.shape[0])
+    mat = u[:, None] - cost
+    mat /= eps
+    top = mat.max(axis=0)
+    mat -= top
+    np.exp(mat, out=mat)
+    col = mat.sum(axis=0)
+    mat *= wb / col
+    return wa @ u - eps * (wb @ (top + np.log(col))), mat
+
+
+def _newton_support(cost, wa, wb):
+    """Cells whose reduced cost under Newton semi-dual potentials is within 2 eps.
+
+    Damped Newton ascends the entropic semi-dual in the potentials u of the
+    smaller side, so the linear system is min(K_a, K_b) square, and eps
+    shrinks as it converges. The other side's potential is the c-transform
+    g_j = min_i (C_ij - u_i), so every reduced cost is >= 0 and each column
+    has a zero.
+    """
+    if wa.shape[0] > wb.shape[0]:
+        return _newton_support(cost.T, wb, wa).T
+    ka = wa.shape[0]
+    u = np.zeros(ka)
+    tol = 1e-3 * wa.min()
     eps = top = cost.max()
     while eps > 0:
-        f, g, _, _ = _sinkhorn(cost, wa, wb, eps, f, g, SEED_SWEEPS, 0.0)
-        if eps <= SEED_EPS * top:
+        value, plan = _semi_dual(cost, wa, wb, u, eps)
+        for _ in range(NEWTON_STEPS):
+            mass = plan.sum(axis=1)
+            grad = wa - mass
+            if np.abs(grad).max() < tol:
+                break
+            # minus the Hessian of F; the constant direction, which F does not
+            # see, is lifted by a rank-one term and rows whose mass underflowed
+            # by a ridge
+            hess = np.diag(mass) - (plan / wb) @ plan.T
+            hess /= eps
+            hess += hess.trace() / ka ** 2
+            hess.flat[::ka + 1] += 1e-9
+            step = np.linalg.solve(hess, grad)
+            slope = grad @ step
+            t = 1.0
+            while t > 1e-10:  # Armijo backtracking
+                trial, trial_plan = _semi_dual(cost, wa, wb, u + t * step, eps)
+                if trial >= value + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break
+            u = u + t * step
+            value, plan = trial, trial_plan
+        if eps <= NEWTON_EPS * top:
             break
-        eps = max(SEED_FACTOR * eps, SEED_EPS * top)
-    reduced = cost - f[:, None]
+        eps = max(NEWTON_FACTOR * eps, NEWTON_EPS * top)
+    reduced = cost - u[:, None]
     return reduced - reduced.min(axis=0) <= 2.0 * eps
 
 
@@ -179,19 +228,62 @@ def _transport_lp(cost, wa, wb, rows, cols):
     return res.fun, res.x, duals[:ka], np.append(duals[ka:], 0.0)
 
 
+def _shifted_duals(cost, rows, cols, x, u, v):
+    """Row duals u shifted per connected component of the plan's positive cells.
+
+    The LP duals are tight on the plan, and a common offset s_p on a
+    component's rows (and -s_p on its columns) keeps them so. The offsets
+    solve the difference constraints s_p - s_q <= min reduced cost over the
+    rows of p and the columns of q, by shortest paths over the components,
+    which each hold a row and a column. A degenerate plan has several, and
+    the LP's duals may then violate feasibility between them although a
+    shifted set does not.
+    """
+    ka = u.shape[0]
+    parent = list(range(ka + v.shape[0]))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    positive = x > 0
+    for i, j in zip(rows[positive].tolist(), (cols[positive] + ka).tolist()):
+        parent[root(i)] = root(j)
+    _, label = np.unique([root(i) for i in range(len(parent))], return_inverse=True)
+    count = label.max() + 1
+    row_label, col_label = label[:ka], label[ka:]
+    by_row = np.full((count, v.shape[0]), np.inf)
+    np.minimum.at(by_row, row_label, cost - u[:, None] - v[None, :])
+    # dist[q, p] bounds s_p - s_q: Floyd-Warshall from the edges w(p, q)
+    dist = np.full((count, count), np.inf)
+    np.minimum.at(dist, col_label, by_row.T)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(count):
+        np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
+    if np.diag(dist).min() < 0:
+        # a negative cycle: no shift is feasible, and the distances it leaves can
+        # be large enough to round the c-transform bound above the optimum
+        return u
+    return u + dist.min(axis=0)[row_label]
+
+
 def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     """Exact 2-Wasserstein distance via a transport LP on a certified sparse support.
 
     The support starts from the cells whose reduced cost is within 2 eps
-    under log-domain Sinkhorn potentials, scaled down to eps = 3e-3 * max C,
-    joined with the north-west-corner plan, which keeps the LP feasible. The
-    HiGHS simplex solves the LP restricted to the support at primal and dual
-    feasibility tolerances of 1e-10 (on costs scaled to a largest entry of
-    1e3). Its row duals u give the lower bound
-    D = sum_i a_i u_i + sum_j b_j min_i (C_ij - u_i), dual-feasible on every
-    cell by construction, so once the restricted optimum P satisfies
-    P - D <= 1e-13 * P + ulp(max C) it is the dense LP's optimum to that
-    gap. Otherwise the cells with negative reduced cost under the LP duals
+    under entropic semi-dual potentials of the smaller side, found by damped
+    Newton steps as eps shrinks to 2e-3 * max C, joined with the
+    north-west-corner plan, which keeps the LP feasible. The HiGHS simplex
+    solves the LP restricted to the support at primal and dual feasibility
+    tolerances of 1e-10 (on costs scaled to a largest entry of 1e3). Row
+    duals u give the lower bound D = sum_i a_i u_i + sum_j b_j min_i (C_ij - u_i),
+    dual-feasible on every cell by construction, so once the restricted
+    optimum P satisfies P - D <= 1e-13 * P + ulp(max C) it is the dense LP's
+    optimum to that gap. The bound is tried with the LP's row duals, then
+    with those duals shifted per connected component of the plan. Otherwise
+    the cells with negative reduced cost under the LP's own duals
     join the support and the LP is solved again; a round that would add no
     cell raises RuntimeError. The optimal plan's marginals are verified
     against the input masses to 1e-9. Instances with K_a*K_b beyond the size
@@ -206,7 +298,7 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     cost, wa, wb = _positive_atoms(a, b)
     unit = cost.max() / LP_COST_SCALE or 1.0
     cost = cost / unit
-    support = _entropic_support(cost, wa, wb)
+    support = _newton_support(cost, wa, wb)
     support[_north_west_corner(wa, wb)] = True
     # the support grows every round, so the loop ends
     while True:
@@ -214,7 +306,11 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
         value, x, u, v = _transport_lp(cost, wa, wb, rows, cols)
         reduced = cost - u[:, None]
         gap = value - (wa @ u + wb @ reduced.min(axis=0))
-        if gap <= GAP_RTOL * value + np.spacing(LP_COST_SCALE):
+        slack = GAP_RTOL * value + np.spacing(LP_COST_SCALE)
+        if gap <= slack:
+            break
+        shifted = _shifted_duals(cost, rows, cols, x, u, v)
+        if value - (wa @ shifted + wb @ (cost - shifted[:, None]).min(axis=0)) <= slack:
             break
         grow = (reduced < v) & ~support
         if not grow.any():

@@ -229,6 +229,14 @@ class TestPointCloudCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_point_cloud_csv(p)
 
+    @pytest.mark.parametrize("text, line", [("0,0\n1,1,1\n", 2), ("x,y\n0,0\n1\n", 3)],
+                             ids=["wider row", "narrower than the header"])
+    def test_ragged_rows_name_the_line(self, tmp_path, text, line):
+        p = tmp_path / "c.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line %d: " % line):
+            load_point_cloud_csv(p)
+
 
 class TestCli:
     def test_list_methods(self, capsys):
@@ -283,6 +291,28 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "5.0"
         assert cli.main(["eval-w2", "--a", str(a), "--b", str(b), "--eps", "0.01"]) == 0
         assert capsys.readouterr().out.startswith("5.0 (entropic,")
+
+    def test_eval_w2_ragged_csv_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,0\n1,0\n2\n")
+        b.write_text("3,4\n")
+        assert cli.main(["eval-w2", "--a", str(a), "--b", str(b)]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_eval_w2_missing_file_is_usage_error(self, tmp_path, capsys):
+        b = tmp_path / "b.csv"
+        b.write_text("3,4\n")
+        assert cli.main(["eval-w2", "--a", str(tmp_path / "none.csv"), "--b", str(b)]) == 1
+        assert "none.csv" in capsys.readouterr().err
+
+    def test_eval_w2_over_the_size_guard_is_runtime_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0\n" * 1500)
+        b.write_text("1\n" * 1500)
+        assert cli.main(["eval-w2", "--a", str(a), "--b", str(b)]) == 2
+        assert "wasserstein2_sinkhorn" in capsys.readouterr().err
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

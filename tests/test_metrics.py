@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -84,6 +86,46 @@ def _oracle_cases():
         wa = rng.dirichlet(np.ones(64)) if k % 2 else None
         cases.append(("64 x 512 #%d" % k, _cloud(xa, wa), _cloud(xb)))
     return cases
+
+
+def _count_solves(monkeypatch):
+    """Wrap parvikit.metrics.linprog; the returned list grows by one per solve."""
+    solves = []
+    real = parvikit.metrics.linprog
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parvikit.metrics, "linprog", counting_linprog)
+    return solves
+
+
+def _assert_matches_oracle(value, a, b, label):
+    oracle = _dense_w2(a, b)
+    assert abs(value - oracle) <= 1e-10 * max(oracle, 1e-12), (label, value, oracle)
+
+
+@st.composite
+def _random_cloud_pairs(draw):
+    """Two clouds of 1-12 atoms in 1-3 dimensions at a scale of 1e-3 to 1e3, with
+    Dirichlet masses, some atoms at zero mass and some points duplicated."""
+    dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clouds = []
+    for _ in range(2):
+        k = draw(st.integers(1, 12))
+        points = scale * rng.normal(size=(k, dim))
+        for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                  max_size=k // 2)):
+            points[i] = points[j]
+        masses = rng.dirichlet(np.full(k, draw(st.sampled_from([0.3, 1.0, 5.0]))))
+        zero = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        if not all(zero):
+            masses[zero] = 0.0
+        clouds.append(_cloud(points, masses / masses.sum()))
+    return clouds
 
 
 class TestWeightedCloud:
@@ -190,6 +232,43 @@ class TestSparseExactW2:
             assert abs(value - oracle) <= 1e-10 * max(oracle, 1e-12), (label, value, oracle)
         # at least one case needed the repair round and still agrees
         assert max(rounds.values()) >= 2, rounds
+
+    def test_warmup_sized_instances_certify_in_one_solve(self, monkeypatch):
+        # the restricted LP is degenerate, so HiGHS's dual vertex can leave the
+        # gap open on an optimal plan; the duals shifted per plan component close it
+        solves = _count_solves(monkeypatch)
+        rng = np.random.default_rng(16)
+        for k in range(30):
+            a = _cloud(rng.normal(size=(16, 2)))
+            b = _cloud(rng.normal(size=(16, 2)))
+            solves.clear()
+            value = wasserstein2_exact(a, b)
+            assert len(solves) == 1, k
+            _assert_matches_oracle(value, a, b, k)
+
+    def test_repair_loop_from_the_staircase_alone(self, monkeypatch):
+        # an empty seed leaves the north-west staircase, so the repair rounds
+        # must grow the support to an optimal one
+        monkeypatch.setattr(parvikit.metrics, "_newton_support",
+                            lambda cost, wa, wb: np.zeros(cost.shape, dtype=bool))
+        solves = _count_solves(monkeypatch)
+        rounds = {}
+        for label, a, b in _oracle_cases():
+            solves.clear()
+            value = wasserstein2_exact(a, b)
+            rounds[label] = len(solves)
+            _assert_matches_oracle(value, a, b, label)
+        assert max(rounds.values()) >= 3, rounds
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_random_cloud_pairs())
+    def test_random_small_instances_match_the_oracle(self, clouds):
+        a, b = clouds
+        ab = wasserstein2_exact(a, b)
+        _assert_matches_oracle(ab, a, b, "random")
+        # K_a > K_b seeds the support on the transposed cost
+        assert abs(wasserstein2_exact(b, a) - ab) <= 1e-10 * max(ab, 1e-12)
 
     @pytest.mark.parametrize("offset", [1e3, 1e5])
     def test_clouds_far_from_the_origin(self, offset):

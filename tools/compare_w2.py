@@ -1,0 +1,167 @@
+"""Compare the exact-W2 solvers of two parvikit source trees in one process.
+
+    python3 tools/compare_w2.py OLD_SRC NEW_SRC --seeds 36:48 --default-seeds 0:1 --repeats 3
+
+The W2 instances are captured from `run_experiment` of the new tree, one
+(particle cloud, reference cloud) pair per checkpoint, in two configs:
+WGAD-CA-BLOB on gmm:2 with M=64, 200 iterations, a checkpoint every 100 and a
+512-sample reference (the `gmm2-run` benchmark config, one run per --seeds
+entry), and the same method and target at the defaults, M=64 against 2000
+reference samples over 2000 iterations (one run per --default-seeds entry).
+
+Each tree's `parvikit` package is imported under its own name, so both solve
+every instance in one interpreter with BLAS pinned to one thread, and the two
+sides alternate which goes first. Per config it prints each side's total time
+over the instances (best of --repeats), split into the support seed, the LP
+solves and the rest (certificate and set-up), the histogram of LP solves per
+instance, and the largest relative deviation between the two sides' values.
+The exit status is 1 if that deviation exceeds 1e-12 on any instance, else 0.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import collections  # noqa: E402
+import importlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from compare_steps import load_tree  # noqa: E402
+
+# the support seed's name in each generation of the solver
+SEED_FUNCTIONS = ("_newton_support", "_entropic_support")
+MAX_DEVIATION = 1e-12
+CONFIGS = {
+    "gmm2-run": dict(method="WGAD-CA-BLOB", target="gmm:2", particles=64, iterations=200,
+                     record_every=100, reference_samples=512),
+    "default": dict(method="WGAD-CA-BLOB", target="gmm:2", particles=64),
+}
+
+
+class Side:
+    """One tree's wasserstein2_exact, timed in total, in its support seed and in linprog."""
+
+    def __init__(self, src, alias):
+        load_tree(src, alias)
+        self.metrics = importlib.import_module(alias + ".metrics")
+        self.harness = importlib.import_module(alias + ".harness")
+        self.seed_s = self.lp_s = 0.0
+        self.solves = 0
+        self._wrap("linprog", "lp_s", count=True)
+        for name in SEED_FUNCTIONS:
+            if hasattr(self.metrics, name):
+                self._wrap(name, "seed_s")
+                break
+
+    def _wrap(self, name, total, count=False):
+        """Time calls of the module-level `name`; recursive calls count once."""
+        real = getattr(self.metrics, name)
+        depth = [0]
+
+        def timed(*args, **kwargs):
+            if count:
+                self.solves += 1
+            depth[0] += 1
+            start = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    setattr(self, total, getattr(self, total) + time.perf_counter() - start)
+
+        setattr(self.metrics, name, timed)
+
+    def solve(self, a, b):
+        """(value, solves) of one instance."""
+        solves = self.solves
+        value = self.metrics.wasserstein2_exact(a, b)
+        return value, self.solves - solves
+
+    def time_all(self, instances):
+        """(values, solves per instance, total s, seed s, LP s) of one pass."""
+        self.seed_s = self.lp_s = 0.0
+        values, solves = [], []
+        start = time.perf_counter()
+        for a, b in instances:
+            value, n = self.solve(a, b)
+            values.append(value)
+            solves.append(n)
+        return values, solves, time.perf_counter() - start, self.seed_s, self.lp_s
+
+
+def capture(side, config, seeds):
+    """The (cloud, reference) pairs that run_experiment hands to wasserstein2_exact."""
+    harness = side.harness
+    real = harness.wasserstein2_exact
+    instances = []
+
+    def recording(a, b):
+        instances.append((a, b))
+        return real(a, b)
+
+    harness.wasserstein2_exact = recording
+    try:
+        for seed in seeds:
+            harness.run_experiment(harness.ExperimentConfig(seed=seed, **config))
+    finally:
+        harness.wasserstein2_exact = real
+    return instances
+
+
+def seed_range(text):
+    start, _, stop = text.partition(":")
+    return range(int(start), int(stop)) if stop else range(int(start), int(start) + 1)
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old_src", help="src/ directory of the reference tree")
+    parser.add_argument("new_src", help="src/ directory of the tree under test")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("36:48"),
+                        help="experiment seeds START:STOP of the gmm2-run config (default 36:48)")
+    parser.add_argument("--default-seeds", type=seed_range, default=seed_range("0:1"),
+                        help="experiment seeds START:STOP of the default config (default 0:1)")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    sides = [Side(src, "parvikit_w2cmp%d" % i) for i, src in enumerate((args.old_src, args.new_src))]
+    worst = 0.0
+    print("%-9s %5s %-4s %9s %9s %9s %9s  %s" % (
+        "config", "inst", "side", "total_s", "seed_s", "lp_s", "other_s", "solves: instances"))
+    for name, seeds in (("gmm2-run", args.seeds), ("default", args.default_seeds)):
+        instances = capture(sides[1], CONFIGS[name], seeds)
+        if not instances:
+            continue
+        best = [None, None]
+        for rep in range(args.repeats):
+            runs = [None, None]
+            for i in ((0, 1) if rep % 2 == 0 else (1, 0)):
+                runs[i] = sides[i].time_all(instances)
+                if best[i] is None or runs[i][2] < best[i][2]:
+                    best[i] = runs[i]
+            for old, new in zip(runs[0][0], runs[1][0]):
+                worst = max(worst, abs(new - old) / max(abs(old), 1e-300))
+        for label, (_, solves, total, seed_s, lp_s) in zip(("old", "new"), best):
+            hist = collections.Counter(solves)
+            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f  %s" % (
+                name, len(instances), label, total, seed_s, lp_s, total - seed_s - lp_s,
+                ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
+        print("%-9s new/old total %.3f" % (name, best[1][2] / best[0][2]))
+    print("max relative deviation %.3g (bound %g); best of %d repeats, one BLAS thread"
+          % (worst, MAX_DEVIATION, args.repeats))
+    return 1 if worst > MAX_DEVIATION else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
