@@ -135,29 +135,81 @@ def rbf_kernel_grad(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     return -(2.0 / h) * (x - y) * k
 
 
+# Doubles per row block of one (M, M) matrix of a step (see Workspace). The
+# six such blocks a KSDD step touches (d2, K, a, c, b and t) then take
+# 1.5 MiB, inside a 2 MiB per-core L2. Chosen by measurement: summed over the
+# 11 KSDD and S-metric steps on sg:10, the best block was 64 rows at M=512
+# (50.1 ms, against 51.4 and 52.1 ms at 32 and 128 rows and 63.0 ms
+# unblocked), 32 rows at M=1024, 104 at M=300 and one block at M=100 and 200,
+# where splitting cost more calls than it saved in cache misses.
+BLOCK_DOUBLES = 64 * 512
+
+
+def block_rows(n: int, m: int) -> int:
+    """Rows per block of an (n, m) stage: the nearest whole number of blocks
+    of BLOCK_DOUBLES, with rows rounded up to a multiple of 8.
+
+    A multiple of 8 keeps each row at its place within BLAS's 4- and 8-row
+    kernels. At M=256, 512 and 1024 the blocked step is bit-identical to the
+    unblocked one; at other M some entries may differ in the last bit.
+    """
+    blocks = round(n * m / BLOCK_DOUBLES)
+    if blocks <= 1:
+        return n
+    rows = -(-n // blocks)  # ceil(n / blocks)
+    return min(n, -(-rows // 8) * 8)
+
+
 class Workspace:
     """Scratch of one stepper for clouds of shape (M, d).
 
-    d2 and k hold a step's squared distances and RBF kernel, and a, b and c
-    are free (M, M) work buffers; ridge is lambda * I_d for the KW metric.
+    d2 and k hold a step's squared distances and RBF kernel, and a and c are
+    free (M, M) work buffers. b and t hold one row block of rows =
+    block_rows(M, M) rows: the (M, M) stage walks the cloud in such blocks
+    (64 rows at M=512, one block up to M=221), so each elementwise pass runs
+    over rows that are still in L2 instead of streaming whole (M, M)
+    matrices from L3. The products with the (M, d) cloud run on the full a
+    and c that the blocks fill, because row blocks of them would round
+    differently. tr is a (d, M)
+    buffer for the transpose of an (M, d) operand: numpy sends a @ a.T to
+    BLAS syrk, which at M=512 is ~4x slower than gemm and at some M rounds
+    differently, so a one-block self product multiplies by a transposed copy
+    instead. A block of rows times a.T is no self product, so several blocks
+    take the view a.T. ridge is lambda * I_d for the KW metric.
+
     Nothing written to them outlives the call that wrote it, and nothing a
-    step returns is a view of them. The five matrices share one anonymous
-    memory mapping, so their pages are faulted in once and go back to the OS
-    whole when the workspace is dropped, instead of cycling through the heap
-    on every step.
+    step returns is a view of them. They share one anonymous memory mapping,
+    so their pages are faulted in once, only those a method touches, and go
+    back to the OS whole when the workspace is dropped, instead of cycling
+    through the heap on every step.
     """
 
-    __slots__ = ("shape", "ridge", "d2", "k", "a", "b", "c", "_map")
+    __slots__ = ("shape", "rows", "ridge", "d2", "k", "a", "c", "b", "t", "tr", "_map")
 
     def __init__(self, m: int, d: int, ridge: float = 0.0):
         self.shape = (m, d)
         self.ridge = ridge * np.eye(d)
-        stride = -(-m * m // 8) * 8  # doubles per matrix, rounded to 64 bytes
-        self._map = mmap.mmap(-1, 5 * 8 * stride)
+        self.rows = rows = block_rows(m, m)
+        shapes = [(m, m)] * 4 + [(rows, m)] * 2 + [(d, m)]
+        strides = [-(-r * n // 8) * 8 for r, n in shapes]  # doubles, rounded to 64 bytes
+        self._map = mmap.mmap(-1, 8 * sum(strides))
         flat = np.frombuffer(self._map, dtype=float)
-        self.d2, self.k, self.a, self.b, self.c = (
-            flat[i * stride:i * stride + m * m].reshape(m, m) for i in range(5)
+        offsets = np.cumsum([0] + strides)
+        self.d2, self.k, self.a, self.c, self.b, self.t, self.tr = (
+            flat[o:o + r * n].reshape(r, n) for o, (r, n) in zip(offsets, shapes)
         )
+
+
+def row_blocks(n: int, *arrays):
+    """The arrays' rows in blocks of n: one tuple of row slices per block.
+
+    When one block covers them, the arrays themselves, so that a small cloud
+    pays for no views.
+    """
+    m = len(arrays[0])
+    if m <= n:
+        return (arrays,)
+    return [tuple(a[lo:lo + n] for a in arrays) for lo in range(0, m, n)]
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray | None = None,
@@ -165,20 +217,29 @@ def squared_distances(x: np.ndarray, y: np.ndarray | None = None,
     """Pairwise squared Euclidean distances between rows of x and rows of y.
 
     out receives the result and work is overwritten as scratch; both are
-    (len(x), len(y)) float arrays, allocated afresh when not given.
+    (len(x), len(y)) float arrays, allocated afresh when not given. The
+    product 2 x y^T is formed as (x + x) y^T, which doubling makes exact, and
+    whose fresh left operand keeps numpy off its syrk path when y is x, so
+    a self product and a cross product of equal operands agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    xn = (x * x).sum(axis=1)
-    yn = xn if y is x else (y * y).sum(axis=1)
-    # (xn_i + yn_j) - 2 (x y^T)_ij with the same rounding steps, written in place
-    xy2 = np.matmul(x, y.T, out=work)
-    xy2 *= 2.0
-    d2 = np.add(xn[:, None], yn[None, :], out=out)
-    d2 -= xy2
-    # rounding can push tiny true distances slightly negative
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    # np.add.reduce is ndarray.sum without its Python wrapper: same bits, less overhead at small M
+    xn = np.add.reduce(x * x, axis=1)
+    yn = xn if y is x else np.add.reduce(y * y, axis=1)
+    if out is None:
+        out = np.empty((len(x), len(y)))
+    if work is None:
+        work = np.empty_like(out)
+    # (xn_i + yn_j) - 2 (x y^T)_ij in place, one L2-sized block of rows at a time
+    n = block_rows(len(x), len(y))
+    for x2, xn_i, d2, xy2 in row_blocks(n, x + x, xn[:, None], out, work):
+        np.matmul(x2, y.T, out=xy2)
+        np.add(xn_i, yn, out=d2)
+        d2 -= xy2
+        # rounding can push tiny true distances slightly negative
+        np.maximum(d2, 0.0, out=d2)
+    return out
 
 
 def rbf_kernel_matrix(x: np.ndarray, y: np.ndarray | None = None, h: float = 1.0) -> np.ndarray:
@@ -196,9 +257,11 @@ def bandwidth_nn_from_d2(d2: np.ndarray) -> float:
     m = d2.shape[0]
     if m < 2:
         raise DegenerateInputError("nearest-neighbor bandwidth needs at least 2 particles")
-    d2.flat[:: m + 1] = np.inf  # the diagonal; cheaper than np.fill_diagonal at small M
-    h = float(d2.min(axis=1).sum()) / m
-    d2.flat[:: m + 1] = 0.0
+    d2 = np.ascontiguousarray(d2)  # so that the diagonal below is a view, not a copy
+    diag = d2.reshape(-1)[:: m + 1]  # cheaper than d2.flat or np.fill_diagonal at small M
+    diag.fill(np.inf)
+    h = float(np.add.reduce(np.minimum.reduce(d2, axis=1))) / m
+    diag.fill(0.0)
     if h <= 0.0:
         return BANDWIDTH_FLOOR
     return h

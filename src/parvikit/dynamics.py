@@ -20,10 +20,11 @@ from .core import (
     ParticleState,
     Workspace,
     rbf_kernel_matrix,
+    row_blocks,
     squared_distances,
     weighted_mean_covariance,
 )
-from .smoothing import FirstVariation, first_variation
+from .smoothing import SMOOTHING_RULES, FirstVariation
 from .targets import TargetModel
 
 METRICS = ("W", "KW", "S")
@@ -149,7 +150,7 @@ def ca_weight_update(weights, u, eta, variant="multiplicative"):
     clamps = int(np.count_nonzero(new < 0.0))
     if clamps:
         new = np.maximum(new, 0.0)
-    total = new.sum()
+    total = np.add.reduce(new)
     if total <= 0.0:
         raise NumericalDivergenceError(
             "all weights clamped to zero; eta_wei is too large for this state"
@@ -215,26 +216,46 @@ def dk_resample(state: ParticleState, u, eta, rng: StepRng) -> DkOutcome:
     return DkOutcome(state=new_state, events=events, skipped=skipped)
 
 
-def _finish(state, cfg, rng, new_pos, new_vel, u, counters=None):
-    """Check the moved particles, apply the CA or DK weight update and stamp iteration k+1."""
+def _fixed_weights(state, cfg, rng, new_pos, new_vel, u, counters):
+    return new_pos, new_vel, state.weights.copy()
+
+
+def _ca_weights(state, cfg, rng, new_pos, new_vel, u, counters):
+    eta = effective_eta_wei(cfg, state.iteration)
+    if eta == 0.0:
+        return new_pos, new_vel, state.weights.copy()
+    new_w, clamps = ca_weight_update(state.weights, u, eta, cfg.ca_variant)
+    if counters is not None:
+        counters["clamp_count"] += clamps
+    return new_pos, new_vel, new_w
+
+
+def _dk_weights(state, cfg, rng, new_pos, new_vel, u, counters):
+    eta = effective_eta_wei(cfg, state.iteration)
+    if eta == 0.0:
+        return new_pos, new_vel, state.weights.copy()
+    # DK may also rewrite particle rows; a step without events returns staged as is
+    staged = ParticleState._trusted(new_pos, new_vel, state.weights.copy(), state.iteration)
+    out = dk_resample(staged, u, eta, rng)
+    if counters is not None:
+        counters["dk_event_count"] += out.event_count + out.skipped
+    return out.state.positions, out.state.velocities, out.state.weights
+
+
+# weight mode -> rule(state, cfg, rng, new_pos, new_vel, u, counters) -> (pos, vel, weights)
+WEIGHT_RULES = {"fixed": _fixed_weights, "CA": _ca_weights, "DK": _dk_weights}
+
+
+def _finish(state, cfg, rng, new_pos, new_vel, u, counters, weigh):
+    """Check the moved particles, apply the weight rule weigh and stamp iteration k+1."""
     # a finite sum implies all entries finite; fall back to the slow scan for the message
-    if not math.isfinite(float(new_pos.sum() + new_vel.sum() + u.sum())):
+    # np.add.reduce(a, None) is a.sum() without the Python wrapper around it
+    if not math.isfinite(float(np.add.reduce(new_pos, None) + np.add.reduce(new_vel, None)
+                               + np.add.reduce(u))):
         _require_finite(new_pos, "position", state.iteration)
         _require_finite(new_vel, "velocity", state.iteration)
         _require_finite(u, "first variation", state.iteration)
-    eta = effective_eta_wei(cfg, state.iteration)
-    if cfg.weight_mode == "fixed" or eta == 0.0:
-        new_w = state.weights.copy()
-    elif cfg.weight_mode == "CA":
-        new_w, clamps = ca_weight_update(state.weights, u, eta, cfg.ca_variant)
-        if counters is not None:
-            counters["clamp_count"] += clamps
-    else:  # DK may also rewrite particle rows; a step without events returns staged as is
-        staged = ParticleState._trusted(new_pos, new_vel, state.weights.copy(), state.iteration)
-        out = dk_resample(staged, u, eta, rng)
-        new_pos, new_vel, new_w = out.state.positions, out.state.velocities, out.state.weights
-        if counters is not None:
-            counters["dk_event_count"] += out.event_count + out.skipped
+    new_pos, new_vel, new_w = weigh(state, cfg, rng, new_pos, new_vel, u, counters)
     return ParticleState._trusted(new_pos, new_vel, new_w, state.iteration + 1)
 
 
@@ -258,21 +279,39 @@ def _kw_terms(state, cfg, h, k, ws):
 
 def _s_terms(state, cfg, h, k, ws):
     """Kernel-averaged transport with its velocity coupling."""
-    x = state.positions
+    x, v = state.positions, state.velocities
     if k is None:
         k = rbf_kernel_matrix(x, h=h)
     if ws is None:
         ws = Workspace(*x.shape)
-    kw = np.multiply(k, state.weights[None, :], out=ws.a)
-    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j)
-    coeff = np.matmul(state.velocities, state.velocities.T, out=ws.b)
-    coeff *= kw
-    coupling = -(2.0 / h) * (x * coeff.sum(axis=1)[:, None] - coeff @ x)
-    kw *= cfg.eta_pos
-    return kw @ state.velocities, coupling
+    vt = v.T
+    if ws.rows == len(x):  # v @ v.T would go to syrk; a transposed copy keeps it on gemm
+        vt = ws.tr
+        vt[...] = v.T
+    coeff_row = np.empty(len(x))
+    # coupling[i] = sum_j w_j (v_i . v_j) dK/dx_i(x_i, x_j), built one block of rows at a time
+    for k_i, v_i, kw, coeff, coeff_row_i in row_blocks(
+            ws.rows, k, v, ws.a, ws.c, coeff_row):
+        np.multiply(k_i, state.weights, out=kw)
+        np.matmul(v_i, vt, out=coeff)
+        coeff *= kw
+        np.add.reduce(coeff, axis=1, out=coeff_row_i)
+        kw *= cfg.eta_pos
+    coupling = -(2.0 / h) * (x * coeff_row[:, None] - ws.c @ x)
+    return ws.a @ v, coupling
 
 
 METRIC_TERMS = {"W": _w_terms, "KW": _kw_terms, "S": _s_terms}
+
+
+def _accelerate(terms, weigh, state, fv, cfg, rng, counters, h, k, ws):
+    """gad_step with its metric terms and weight rule resolved."""
+    move, coupling = terms(state, cfg, h, k, ws)
+    new_vel = (1.0 - cfg.gamma * cfg.eta_vel) * state.velocities
+    if coupling is not None:
+        new_vel = new_vel - cfg.eta_vel * coupling
+    new_vel = new_vel - cfg.eta_vel * fv.grad_u
+    return _finish(state, cfg, rng, state.positions + move, new_vel, fv.u, counters, weigh)
 
 
 def gad_step(metric, state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng,
@@ -283,12 +322,8 @@ def gad_step(metric, state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRn
     bandwidth and kernel matrix) are read by the S metric only. ws is the
     caller's Workspace, if any, for the S metric's scratch and KW's ridge.
     """
-    move, coupling = METRIC_TERMS[metric](state, cfg, h, k, ws)
-    new_vel = (1.0 - cfg.gamma * cfg.eta_vel) * state.velocities
-    if coupling is not None:
-        new_vel = new_vel - cfg.eta_vel * coupling
-    new_vel = new_vel - cfg.eta_vel * fv.grad_u
-    return _finish(state, cfg, rng, state.positions + move, new_vel, fv.u, counters)
+    return _accelerate(METRIC_TERMS[metric], WEIGHT_RULES[cfg.weight_mode], state, fv, cfg, rng,
+                       counters, h, k, ws)
 
 
 wgad_step = functools.partial(gad_step, "W")
@@ -296,23 +331,28 @@ kwgad_step = functools.partial(gad_step, "KW")
 sgad_step = functools.partial(gad_step, "S")
 
 
+def _descend(weigh, state, fv, cfg, rng, counters, h=None, k=None, ws=None):
+    """first_order_step with its weight rule resolved; h, k and ws are not read."""
+    new_pos = state.positions - cfg.eta_pos * fv.grad_u
+    return _finish(state, cfg, rng, new_pos, state.velocities.copy(), fv.u, counters, weigh)
+
+
 def first_order_step(state, fv: FirstVariation, cfg: DynamicsConfig, rng: StepRng, counters=None):
     """Plain descent on the smoothed first variation; velocities stay untouched."""
-    new_pos = state.positions - cfg.eta_pos * fv.grad_u
-    return _finish(state, cfg, rng, new_pos, state.velocities.copy(), fv.u, counters)
+    return _descend(WEIGHT_RULES[cfg.weight_mode], state, fv, cfg, rng, counters)
 
 
 def svgd_step(state: ParticleState, target: TargetModel, h: float, eta_pos: float, k=None):
     """Kernelized score-ascent step with pairwise repulsion; fixed uniform weights."""
     w = state.weights
-    if not np.all(w == w[0]):
+    if not (w == w[0]).all():
         raise InvalidArgumentError("this stepper requires uniform weights")
     x = state.positions
     m = state.num_particles
     if k is None:
         k = rbf_kernel_matrix(x, h=h)
     scores = np.atleast_2d(target.score(x))
-    repulsion = (2.0 / h) * (x * k.sum(axis=1)[:, None] - k @ x)
+    repulsion = (2.0 / h) * (x * np.add.reduce(k, axis=1)[:, None] - k @ x)
     drift = (k @ scores + repulsion) / m
     new_pos = x + eta_pos * drift
     _require_finite(new_pos, "position", state.iteration)
@@ -332,6 +372,10 @@ def wnes_step(state, fv_at_lookahead: FirstVariation, eta_pos: float, k: int):
     _require_finite(new_pos, "position", state.iteration)
     return ParticleState._trusted(new_pos, new_pos - state.positions, state.weights.copy(),
                                   state.iteration + 1)
+
+
+def _wnes_update(state, fv, cfg, rng, counters, h, k, ws):
+    return wnes_step(state, fv, cfg.eta_pos, state.iteration + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +433,9 @@ class Stepper:
     Workspace of scratch buffers, sized on the first call and again only when
     the cloud's shape changes; their contents never outlive a call, and the
     returned state shares no memory with them. One stepper is therefore not
-    for concurrent use from two threads.
+    for concurrent use from two threads. The method's smoothing rule and its
+    update (metric terms and weight rule included) are looked up once, here,
+    not on every call.
     """
 
     def __init__(self, spec: MethodSpec, target: TargetModel, cfg: DynamicsConfig,
@@ -401,15 +447,26 @@ class Stepper:
         self.rng = rng
         self.counters = {"clamp_count": 0, "dk_event_count": 0, "floored_count": 0}
         self._ws = None
+        self._lookahead = spec.kind == "wnes"
+        # SVGD needs no first variation; every other update is
+        # (state, fv, cfg, rng, counters, h, k, ws) -> next state
+        self._smooth = None if spec.kind == "svgd" else SMOOTHING_RULES[spec.smoothing]
+        weigh = WEIGHT_RULES[cfg.weight_mode]
+        self._update = {
+            "gad": functools.partial(_accelerate, METRIC_TERMS[spec.metric], weigh),
+            "first_order": functools.partial(_descend, weigh),
+            "wnes": _wnes_update,
+            "svgd": None,
+        }[spec.kind]
 
     def __getstate__(self):
         # the workspace is scratch that the next call rebuilds, and its mmap cannot be pickled
         return {**self.__dict__, "_ws": None}
 
     def __call__(self, state: ParticleState) -> ParticleState:
-        spec, cfg = self.spec, self.cfg
+        cfg = self.cfg
         at = state  # WNES evaluates the smoothing at its lookahead point
-        if spec.kind == "wnes":
+        if self._lookahead:
             at = ParticleState._trusted(wnes_lookahead(state, state.iteration + 1),
                                         state.velocities, state.weights, state.iteration)
         ws = self._ws
@@ -419,10 +476,10 @@ class Stepper:
         h = self.kernel.resolve(at.positions, d2)
         k = np.divide(d2, -h, out=ws.k)
         np.exp(k, out=k)
-        if spec.kind == "svgd":
+        if self._smooth is None:
             return svgd_step(state, self.target, h, cfg.eta_pos, k=k)
         try:
-            fv = first_variation(at, self.target, h, spec.smoothing, d2=d2, k=k, ws=ws)
+            fv = self._smooth(at, self.target, h, d2=d2, k=k, ws=ws)
         except (FloatingPointError, OverflowError) as exc:
             row = getattr(exc, "row", None)  # set by targets that know the failing point
             raise NumericalDivergenceError(
@@ -430,11 +487,7 @@ class Stepper:
                 % ("" if row is None else " for particle %d" % row, state.iteration, exc)
             ) from exc
         self.counters["floored_count"] += fv.floored
-        if spec.kind == "wnes":
-            return wnes_step(state, fv, cfg.eta_pos, state.iteration + 1)
-        if spec.kind == "first_order":
-            return first_order_step(state, fv, cfg, self.rng, self.counters)
-        return gad_step(spec.metric, state, fv, cfg, self.rng, self.counters, h, k, ws)
+        return self._update(state, fv, cfg, self.rng, self.counters, h, k, ws)
 
 
 def make_stepper(method: str, target: TargetModel, cfg: DynamicsConfig | None = None,

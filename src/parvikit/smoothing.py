@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParticleState, Workspace, squared_distances
+from .core import ParticleState, Workspace, row_blocks, squared_distances
 from .targets import TargetModel, UnsupportedOperationError
 
 # Kernel mixture sums are floored here before taking logs, so that a cloud of
@@ -125,8 +125,10 @@ def ksdd_first_variation(state: ParticleState, target: TargetModel, h: float,
                          d2=None, k=None, ws=None) -> FirstVariation:
     """First variation of the kernelized Stein discrepancy under the particle cloud.
 
-    The (M, M) intermediates go to ws's work buffers a, b and c when a
-    workspace is given; d2 and k are only read.
+    The (M, M) stage runs over blocks of rows in ws's buffers (see
+    Workspace): b and t hold a block's intermediates, a and c receive the
+    rows of the full matrices that the (M, M) x (M, d) products read, and d2
+    and k are only read. Without a workspace a fresh one is used.
     """
     if not target.has_hessian:
         raise UnsupportedOperationError("this smoothing rule needs a log-density Hessian")
@@ -140,32 +142,52 @@ def ksdd_first_variation(state: ParticleState, target: TargetModel, h: float,
         ws = Workspace(m, d)
     s, hess = target.score_and_hessian(x)  # (M, d), (M, d, d)
     c = 2.0 / h
-    sx_dot = (s * x).sum(axis=1)
-    # b[i, j] = s_i . (x_i - x_j), and
-    # inner = s s^T + c (b + b^T) + (2d/h - (4/h^2) r2), built in place
-    b = np.matmul(s, x.T, out=ws.b)
-    np.subtract(sx_dot[:, None], b, out=b)
-    inner = np.matmul(s, s.T, out=ws.a)
-    t = np.add(b, b.T, out=ws.c)
-    t *= c
-    inner += t
-    np.multiply(r2, 4.0 / (h * h), out=t)
-    np.subtract(2.0 * d / h, t, out=t)
-    inner += t
-    gram = np.multiply(inner, k, out=b)
-    u = gram @ w  # u[i] = sum_j w_j k(x_j, x_i); gram is symmetric
-    kw = np.multiply(k, w[None, :], out=ws.c)
-    kw_row = kw.sum(axis=1)
-    # e[i, j] = x_j - x_i ("x" role is particle j, "y" role the evaluation point x_i);
-    # every sum over j of coeff_ij * e_ij collapses to (C x)_i - (C 1)_i x_i.
-    # In this convention e_ij . s_j = b[j, i] and e_ij . s_i = -b[i, j], and the
-    # full e-directed coefficient c*sxsy + c^2(b + b^T) + 8/h^2 + 4d/h^2 - 8 r2/h^3
-    # simplifies to c*inner + 8/h^2.
-    coeff = inner
-    coeff *= c
-    coeff += 8.0 / (h * h)
-    coeff *= kw
-    grad = coeff @ x - coeff.sum(axis=1)[:, None] * x
+    sx_dot = np.add.reduce(s * x, axis=1)  # ndarray.sum without its Python wrapper
+    n = ws.rows
+    st = s.T
+    if n == m:  # s @ s.T would go to syrk; a transposed copy keeps it on gemm (see Workspace)
+        st = ws.tr
+        st[...] = s.T
+    u, kw_row, coeff_row = np.empty(m), np.empty(m), np.empty(m)
+    for s_i, x_i, sx_i, r2_i, k_i, inner, kw, u_i, kw_row_i, coeff_row_i in row_blocks(
+            n, s, x, sx_dot[:, None], r2, k, ws.a, ws.c, u, kw_row, coeff_row):
+        b, t = ws.b, ws.t
+        if len(s_i) < n:  # the last block of several
+            b, t = b[:len(s_i)], t[:len(s_i)]
+        # b[i, j] = s_i . (x_i - x_j), and
+        # inner = s s^T + c (b + b^T) + (2d/h - (4/h^2) r2), built in place
+        np.matmul(s_i, x.T, out=b)
+        np.subtract(sx_i, b, out=b)
+        np.matmul(s_i, st, out=inner)
+        if n == m:
+            np.add(b, b.T, out=t)
+        else:  # the rows of b^T, computed like b instead of read with a stride
+            np.matmul(x_i, st, out=t)
+            np.subtract(sx_dot, t, out=t)
+            t += b
+        t *= c
+        inner += t
+        np.multiply(r2_i, 4.0 / (h * h), out=t)
+        np.subtract(2.0 * d / h, t, out=t)
+        inner += t
+        gram = np.multiply(inner, k_i, out=b)
+        np.matmul(gram, w, out=u_i)  # u[i] = sum_j w_j k(x_j, x_i); gram is symmetric
+        np.multiply(k_i, w, out=kw)
+        np.add.reduce(kw, axis=1, out=kw_row_i)
+        # e[i, j] = x_j - x_i ("x" role is particle j, "y" role the evaluation point x_i);
+        # every sum over j of coeff_ij * e_ij collapses to (C x)_i - (C 1)_i x_i.
+        # In this convention e_ij . s_j = b[j, i] and e_ij . s_i = -b[i, j], and the
+        # full e-directed coefficient c*sxsy + c^2(b + b^T) + 8/h^2 + 4d/h^2 - 8 r2/h^3
+        # simplifies to c*inner + 8/h^2.
+        coeff = inner
+        coeff *= c
+        coeff += 8.0 / (h * h)
+        coeff *= kw
+        np.add.reduce(coeff, axis=1, out=coeff_row_i)
+    # the (M, M) x (M, d) products run on the full matrices: row blocks of
+    # them would round differently
+    kw, coeff = ws.c, ws.a
+    grad = coeff @ x - coeff_row[:, None] * x
     # Hessian-directed terms: H(x_i) [sum_j w_j K_ij s_j - c sum_j w_j K_ij e_ij]
     kws = kw @ s
     hvec = kws - c * (kw @ x - kw_row[:, None] * x)

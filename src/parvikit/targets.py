@@ -60,8 +60,12 @@ class TargetModel:
         return self.score(x), self.hessian_log_density(x)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_batch(x, dim):
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT:  # skips asarray on the hot path
+        x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]

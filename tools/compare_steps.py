@@ -12,8 +12,16 @@ host whose speed drifts over time drifts for both sides alike.
 
 Per method it prints the best (over repeats) mean time per step of each side,
 their ratio, the minor page faults (`ru_minflt`) per step of each side's best
-repeat, and whether the two final states are bit-identical. The exit status
-is 1 if any final state differs, else 0.
+repeat, and whether the two final states are bit-identical. For each method
+whose final states differ it then prints the largest relative deviation of
+positions and of weights, max |new - old| / max |old|, and whether the
+steppers' counters agree. The exit status is 1 if any final state differs,
+else 0.
+
+--methods takes method ids or a preset: `canonical` (the 26 canonical
+methods), `all` (every id) or `sg10` (the canonical methods whose smoothing
+is KSDD or whose metric is S, the M x M-bound ones that the benchmark's
+sg10-soak-m512 workload runs).
 """
 
 import os
@@ -63,7 +71,7 @@ class Side:
         self.seed = seed
 
     def soak(self, name):
-        """(seconds per step, minor faults per step, final state) of one fresh-stepper soak."""
+        """(seconds per step, minor faults per step, final state, counters) of one fresh-stepper soak."""
         pkg = self.pkg
         cfg = pkg.DynamicsConfig(total_steps=self.steps,
                                  **self.harness.default_hyperparameters(name, self.kind))
@@ -73,15 +81,34 @@ class Side:
         state = self.start
         for _ in range(self.steps):
             state = stepper(state)
+        counters = dict(stepper.counters)
         del stepper  # its release (the workspace's unmapping) is part of the cost
         seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return seconds / self.steps, faults / self.steps, state
+        return seconds / self.steps, faults / self.steps, state, counters
 
 
 def identical(a, b):
     return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in (
         (a.positions, b.positions), (a.velocities, b.velocities), (a.weights, b.weights)))
+
+
+def deviation(old, new):
+    """max |new - old| / max |old|, the largest deviation relative to the old array's scale."""
+    scale = float(np.abs(old).max())
+    return float(np.abs(new - old).max()) / (scale if scale > 0.0 else 1.0)
+
+
+def method_names(preset, dynamics):
+    """The method ids of a --methods value: a preset or a comma-separated list."""
+    if preset == "canonical":
+        return list(dynamics.CANONICAL_METHODS)
+    if preset == "all":
+        return list(dynamics.METHODS)
+    if preset == "sg10":
+        return [name for name in dynamics.CANONICAL_METHODS
+                if dynamics.METHODS[name].smoothing == "KSDD" or dynamics.METHODS[name].metric == "S"]
+    return [n.strip().upper() for n in preset.split(",") if n.strip()]
 
 
 def parse_args(argv):
@@ -94,7 +121,7 @@ def parse_args(argv):
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--methods", default="canonical",
-                        help="comma-separated method ids, or 'canonical' or 'all'")
+                        help="comma-separated method ids, or 'canonical', 'all' or 'sg10'")
     args = parser.parse_args(argv)
     if args.particles < 2 or args.steps < 1 or args.repeats < 1:
         parser.error("--particles must be >= 2, --steps and --repeats >= 1")
@@ -108,23 +135,22 @@ def main(argv=None):
     sides = [Side(src, "parvikit_cmp%d" % i, args.target, args.particles, args.seed, args.steps)
              for i, src in enumerate((args.old_src, args.new_src))]
     dynamics = importlib.import_module(sides[1].pkg.__name__ + ".dynamics")
-    if args.methods == "canonical":
-        names = list(dynamics.CANONICAL_METHODS)
-    elif args.methods == "all":
-        names = list(dynamics.METHODS)
-    else:
-        names = [n.strip().upper() for n in args.methods.split(",") if n.strip()]
+    names = method_names(args.methods, dynamics)
     best = {name: [(float("inf"), 0.0), (float("inf"), 0.0)] for name in names}
     same = {}
+    differing = {}  # name -> ((old final, old counters), (new final, new counters))
     for rep in range(args.repeats):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
         for name in names:
             finals = [None, None]
             for i in order:
-                per_step, faults, finals[i] = sides[i].soak(name)
+                per_step, faults, state, counters = sides[i].soak(name)
+                finals[i] = (state, counters)
                 if per_step < best[name][i][0]:
                     best[name][i] = (per_step, faults)
-            same[name] = same.get(name, True) and identical(*finals)
+            same[name] = same.get(name, True) and identical(finals[0][0], finals[1][0])
+            if not same[name]:
+                differing.setdefault(name, finals)
     print("%-16s %11s %11s %7s %9s %9s  %s" % (
         "method", "old_us", "new_us", "ratio", "old_flt", "new_flt", "identical"))
     totals = [0.0, 0.0]
@@ -138,6 +164,10 @@ def main(argv=None):
                                           totals[1] / totals[0]))
     print("target %s, M=%d, %d steps per soak, best of %d repeats, one BLAS thread"
           % (args.target, args.particles, args.steps, args.repeats))
+    for name, ((old, old_counters), (new, new_counters)) in differing.items():
+        print("%-16s positions %.2e, weights %.2e relative; counters %s" % (
+            name, deviation(old.positions, new.positions), deviation(old.weights, new.weights),
+            "equal" if old_counters == new_counters else "%s vs %s" % (old_counters, new_counters)))
     return 0 if all(same.values()) else 1
 
 
