@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 from .core import InvalidArgumentError, ParticleState, empirical_moments, squared_distances
 
@@ -21,7 +22,7 @@ GAP_RTOL = 1e-13
 # Newton seed of its support: at most NEWTON_STEPS damped Newton steps on the
 # entropic semi-dual at each eps of a schedule that shrinks by NEWTON_FACTOR
 # from max C down to NEWTON_EPS * max C.
-NEWTON_EPS = 2e-3
+NEWTON_EPS = 1e-3
 NEWTON_FACTOR = 0.25
 NEWTON_STEPS = 30
 
@@ -203,11 +204,33 @@ def _north_west_corner(wa, wb):
     return rows, np.arange(rows.shape[0]) - rows
 
 
+def _components(shape, rows, cols):
+    """(count, labels) of the connected components of the bipartite graph whose
+    edges are the cells (rows, cols), rows sorted: the labels of the rows, then
+    the columns."""
+    nodes = shape[0] + shape[1]
+    graph = sparse.csr_matrix(
+        (np.ones(rows.shape[0]), shape[0] + cols, np.searchsorted(rows, np.arange(nodes + 1))),
+        shape=(nodes, nodes))
+    return connected_components(graph, directed=False)
+
+
+def _may_carry(support, wa, wb):
+    """A necessary check that the LP restricted to support is feasible: each
+    connected component of the support must hold as much row mass as column
+    mass, to HiGHS's 1e-10 tolerance. An atom with no cell is a component of
+    its own, so every atom needs a cell."""
+    count, label = _components(support.shape, *np.nonzero(support))
+    excess = np.bincount(label, np.concatenate((wa, -wb)), count)
+    return np.abs(excess).max() <= 1e-10
+
+
 def _transport_lp(cost, wa, wb, rows, cols):
     """Transport LP restricted to the cells (rows, cols).
 
-    Returns (value, plan entries, row duals u, column duals v). One equality
-    (the last column's) is redundant and dropped, which fixes its dual at 0.
+    Returns (value, plan entries, row duals u, column duals v), or None if
+    the cells cannot carry the masses. One equality (the last column's) is
+    redundant and dropped, which fixes its dual at 0.
     """
     ka, kb = cost.shape
     nvar = rows.shape[0]
@@ -222,6 +245,8 @@ def _transport_lp(cost, wa, wb, rows, cols):
     res = linprog(cost[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return None
     if not res.success:
         raise RuntimeError("transport LP failed: %s" % res.message)
     duals = res.eqlin.marginals
@@ -239,21 +264,9 @@ def _shifted_duals(cost, rows, cols, x, u, v):
     the LP's duals may then violate feasibility between them although a
     shifted set does not.
     """
-    ka = u.shape[0]
-    parent = list(range(ka + v.shape[0]))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     positive = x > 0
-    for i, j in zip(rows[positive].tolist(), (cols[positive] + ka).tolist()):
-        parent[root(i)] = root(j)
-    _, label = np.unique([root(i) for i in range(len(parent))], return_inverse=True)
-    count = label.max() + 1
-    row_label, col_label = label[:ka], label[ka:]
+    count, label = _components(cost.shape, rows[positive], cols[positive])
+    row_label, col_label = label[:cost.shape[0]], label[cost.shape[0]:]
     by_row = np.full((count, v.shape[0]), np.inf)
     np.minimum.at(by_row, row_label, cost - u[:, None] - v[None, :])
     # dist[q, p] bounds s_p - s_q: Floyd-Warshall from the edges w(p, q)
@@ -274,8 +287,11 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
 
     The support starts from the cells whose reduced cost is within 2 eps
     under entropic semi-dual potentials of the smaller side, found by damped
-    Newton steps as eps shrinks to 2e-3 * max C, joined with the
-    north-west-corner plan, which keeps the LP feasible. The HiGHS simplex
+    Newton steps as eps shrinks to 1e-3 * max C. This band is joined with the
+    north-west-corner plan, which keeps the LP feasible, only when it cannot
+    carry the masses: before the first solve if an atom has no cell or a
+    connected component of the band holds unequal row and column mass, and
+    after it if HiGHS finds the restricted LP infeasible. The HiGHS simplex
     solves the LP restricted to the support at primal and dual feasibility
     tolerances of 1e-10 (on costs scaled to a largest entry of 1e3). Row
     duals u give the lower bound D = sum_i a_i u_i + sum_j b_j min_i (C_ij - u_i),
@@ -285,7 +301,8 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     with those duals shifted per connected component of the plan. Otherwise
     the cells with negative reduced cost under the LP's own duals
     join the support and the LP is solved again; a round that would add no
-    cell raises RuntimeError. The optimal plan's marginals are verified
+    cell, or an infeasible LP on a support that holds the north-west-corner
+    plan, raises RuntimeError. The optimal plan's marginals are verified
     against the input masses to 1e-9. Instances with K_a*K_b beyond the size
     guard must use wasserstein2_sinkhorn instead.
     """
@@ -299,11 +316,20 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     unit = cost.max() / LP_COST_SCALE or 1.0
     cost = cost / unit
     support = _newton_support(cost, wa, wb)
-    support[_north_west_corner(wa, wb)] = True
+    staircase = _north_west_corner(wa, wb)
+    if not _may_carry(support, wa, wb):
+        support[staircase] = True
     # the support grows every round, so the loop ends
     while True:
         rows, cols = np.nonzero(support)
-        value, x, u, v = _transport_lp(cost, wa, wb, rows, cols)
+        solved = _transport_lp(cost, wa, wb, rows, cols)
+        if solved is None:
+            if support[staircase].all():
+                raise RuntimeError("transport LP infeasible on a support holding the "
+                                   "north-west-corner plan")
+            support[staircase] = True
+            continue
+        value, x, u, v = solved
         reduced = cost - u[:, None]
         gap = value - (wa @ u + wb @ reduced.min(axis=0))
         slack = GAP_RTOL * value + np.spacing(LP_COST_SCALE)

@@ -325,3 +325,12 @@ class TestCli:
         assert code == 0
         assert (out_dir / "summary.csv").exists()
         assert cli.main(["sweep", "--config", str(cfg), "--particles", "x"]) == 1
+
+    def test_sweep_divergence_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "eta_pos=1e300\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["sweep", "--config", str(cfg), "--particles", "4", "--seeds", "0:1",
+                             "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "non-finite position for particle" in capsys.readouterr().err

@@ -260,6 +260,69 @@ class TestSparseExactW2:
             _assert_matches_oracle(value, a, b, label)
         assert max(rounds.values()) >= 3, rounds
 
+    def test_first_solve_sees_the_band_alone(self, monkeypatch):
+        # the north-west staircase joins the first solve only when the band
+        # cannot carry the masses
+        real_support, real_lp = parvikit.metrics._newton_support, parvikit.metrics.linprog
+        bands, costs = [], []
+
+        def recording_support(cost, wa, wb):
+            band = real_support(cost, wa, wb)
+            bands.append((cost, band.copy(), wa, wb))
+            return band
+
+        def recording_lp(c, *args, **kwargs):
+            costs.append(c)
+            return real_lp(c, *args, **kwargs)
+
+        monkeypatch.setattr(parvikit.metrics, "_newton_support", recording_support)
+        monkeypatch.setattr(parvikit.metrics, "linprog", recording_lp)
+        for label, a, b in _oracle_cases():
+            if not label.startswith("64 x 512"):
+                continue
+            bands.clear()
+            costs.clear()
+            wasserstein2_exact(a, b)
+            (cost, band, wa, wb), = bands
+            if a.masses.min() < a.masses.max():
+                # atoms of small Dirichlet mass have no cell within 2 eps, so the
+                # precheck adds the staircase before the first solve
+                assert not band.any(axis=1).all(), label
+                band[parvikit.metrics._north_west_corner(wa, wb)] = True
+            assert np.array_equal(costs[0], cost[band]), label
+
+    def test_infeasible_band_falls_back_to_the_staircase(self, monkeypatch):
+        # one balanced component, yet rows 0 and 1 reach only column 0, which
+        # cannot take their mass: the precheck passes, HiGHS finds the band
+        # infeasible, and the staircase joins it for the second solve
+        band = np.zeros((3, 3), dtype=bool)
+        band[[0, 1, 2, 2, 2], [0, 0, 0, 1, 2]] = True
+        monkeypatch.setattr(parvikit.metrics, "_newton_support", lambda cost, wa, wb: band.copy())
+        solves = _count_solves(monkeypatch)
+        a = _cloud([[0.0], [1.0], [2.0]], [0.4, 0.4, 0.2])
+        b = _cloud([[0.5], [1.5], [2.5]], [0.2, 0.4, 0.4])
+        assert parvikit.metrics._may_carry(band, a.masses, b.masses)
+        value = wasserstein2_exact(a, b)
+        assert len(solves) == 2
+        _assert_matches_oracle(value, a, b, "band without a plan")
+
+    def test_infeasible_with_the_staircase_raises(self, monkeypatch):
+        real = parvikit.metrics.linprog
+        calls = []
+
+        def infeasible(*args, **kwargs):
+            calls.append(1)
+            res = real(*args, **kwargs)
+            res.status = 2
+            return res
+
+        monkeypatch.setattr(parvikit.metrics, "linprog", infeasible)
+        rng = np.random.default_rng(13)
+        # the band passes the precheck, so the staircase joins it for the second solve
+        with pytest.raises(RuntimeError, match="infeasible on a support holding"):
+            wasserstein2_exact(_cloud(rng.normal(size=(8, 2))), _cloud(rng.normal(size=(9, 2))))
+        assert len(calls) == 2
+
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_random_cloud_pairs())

@@ -13,8 +13,11 @@ Each tree's `parvikit` package is imported under its own name, so both solve
 every instance in one interpreter with BLAS pinned to one thread, and the two
 sides alternate which goes first. Per config it prints each side's total time
 over the instances (best of --repeats), split into the support seed, the LP
-solves and the rest (certificate and set-up), the histogram of LP solves per
-instance, and the largest relative deviation between the two sides' values.
+solves and the rest (certificate and set-up), the mean number of cells in an
+instance's first LP (`cells1`), the number of instances whose support HiGHS
+found infeasible before it was joined with the north-west staircase
+(`infeas`), the histogram of LP solves per instance, and the largest relative
+deviation between the two sides' values.
 The exit status is 1 if that deviation exceeds 1e-12 on any instance, else 0.
 """
 
@@ -35,6 +38,7 @@ from compare_steps import load_tree  # noqa: E402
 # the support seed's name in each generation of the solver
 SEED_FUNCTIONS = ("_newton_support", "_entropic_support")
 MAX_DEVIATION = 1e-12
+INFEASIBLE = 2  # linprog's status for an infeasible LP
 CONFIGS = {
     "gmm2-run": dict(method="WGAD-CA-BLOB", target="gmm:2", particles=64, iterations=200,
                      record_every=100, reference_samples=512),
@@ -50,48 +54,44 @@ class Side:
         self.metrics = importlib.import_module(alias + ".metrics")
         self.harness = importlib.import_module(alias + ".harness")
         self.seed_s = self.lp_s = 0.0
-        self.solves = 0
-        self._wrap("linprog", "lp_s", count=True)
+        self.calls = []  # (variables, HiGHS status) of each linprog call
+        self._wrap("linprog", "lp_s",
+                   observe=lambda args, res: self.calls.append((len(args[0]), res.status)))
         for name in SEED_FUNCTIONS:
             if hasattr(self.metrics, name):
                 self._wrap(name, "seed_s")
                 break
 
-    def _wrap(self, name, total, count=False):
+    def _wrap(self, name, total, observe=None):
         """Time calls of the module-level `name`; recursive calls count once."""
         real = getattr(self.metrics, name)
         depth = [0]
 
         def timed(*args, **kwargs):
-            if count:
-                self.solves += 1
             depth[0] += 1
             start = time.perf_counter()
             try:
-                return real(*args, **kwargs)
+                result = real(*args, **kwargs)
             finally:
                 depth[0] -= 1
                 if not depth[0]:
                     setattr(self, total, getattr(self, total) + time.perf_counter() - start)
+            if observe is not None:
+                observe(args, result)
+            return result
 
         setattr(self.metrics, name, timed)
 
-    def solve(self, a, b):
-        """(value, solves) of one instance."""
-        solves = self.solves
-        value = self.metrics.wasserstein2_exact(a, b)
-        return value, self.solves - solves
-
     def time_all(self, instances):
-        """(values, solves per instance, total s, seed s, LP s) of one pass."""
+        """(values, LP calls per instance, total s, seed s, LP s) of one pass."""
         self.seed_s = self.lp_s = 0.0
-        values, solves = [], []
+        values, calls = [], []
         start = time.perf_counter()
         for a, b in instances:
-            value, n = self.solve(a, b)
-            values.append(value)
-            solves.append(n)
-        return values, solves, time.perf_counter() - start, self.seed_s, self.lp_s
+            del self.calls[:]
+            values.append(self.metrics.wasserstein2_exact(a, b))
+            calls.append(list(self.calls))
+        return values, calls, time.perf_counter() - start, self.seed_s, self.lp_s
 
 
 def capture(side, config, seeds):
@@ -137,8 +137,9 @@ def main(argv=None):
     args = parse_args(argv)
     sides = [Side(src, "parvikit_w2cmp%d" % i) for i, src in enumerate((args.old_src, args.new_src))]
     worst = 0.0
-    print("%-9s %5s %-4s %9s %9s %9s %9s  %s" % (
-        "config", "inst", "side", "total_s", "seed_s", "lp_s", "other_s", "solves: instances"))
+    print("%-9s %5s %-4s %9s %9s %9s %9s %7s %6s  %s" % (
+        "config", "inst", "side", "total_s", "seed_s", "lp_s", "other_s", "cells1", "infeas",
+        "solves: instances"))
     for name, seeds in (("gmm2-run", args.seeds), ("default", args.default_seeds)):
         instances = capture(sides[1], CONFIGS[name], seeds)
         if not instances:
@@ -152,11 +153,13 @@ def main(argv=None):
                     best[i] = runs[i]
             for old, new in zip(runs[0][0], runs[1][0]):
                 worst = max(worst, abs(new - old) / max(abs(old), 1e-300))
-        for label, (_, solves, total, seed_s, lp_s) in zip(("old", "new"), best):
-            hist = collections.Counter(solves)
-            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f  %s" % (
+        for label, (_, calls, total, seed_s, lp_s) in zip(("old", "new"), best):
+            hist = collections.Counter(len(c) for c in calls)
+            cells = sum(c[0][0] for c in calls) / len(calls)
+            infeasible = sum(any(status == INFEASIBLE for _, status in c) for c in calls)
+            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f %7.0f %6d  %s" % (
                 name, len(instances), label, total, seed_s, lp_s, total - seed_s - lp_s,
-                ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
+                cells, infeasible, ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
         print("%-9s new/old total %.3f" % (name, best[1][2] / best[0][2]))
     print("max relative deviation %.3g (bound %g); best of %d repeats, one BLAS thread"
           % (worst, MAX_DEVIATION, args.repeats))
