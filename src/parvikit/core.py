@@ -49,6 +49,9 @@ class ParticleState:
             raise InvalidArgumentError("iteration must be nonnegative")
         if not np.all(np.isfinite(self.positions)) or not np.all(np.isfinite(self.velocities)):
             raise InvalidArgumentError("positions/velocities contain non-finite entries")
+        # a NaN weight would pass both checks below, since NaN compares False
+        if not np.all(np.isfinite(self.weights)):
+            raise InvalidArgumentError("weights contain non-finite entries")
         if np.any(self.weights < 0):
             raise InvalidArgumentError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:

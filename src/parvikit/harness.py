@@ -494,6 +494,8 @@ def load_point_cloud_csv(path) -> WeightedCloud:
                     width = len(row)
                     continue
                 raise ParseError("line %d: non-numeric cell in %r" % (lineno, row)) from None
+            if not np.all(np.isfinite(values)):
+                raise ParseError("line %d: non-finite cell in %r" % (lineno, row))
             width = width or len(values)
             if len(values) != width:
                 raise ParseError("line %d: %d columns where the cloud has %d"

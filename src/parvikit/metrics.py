@@ -51,6 +51,11 @@ class WeightedCloud:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != (self.points.shape[0],):
             raise InvalidArgumentError("masses must be a length-K vector")
+        if not np.all(np.isfinite(self.points)):
+            raise InvalidArgumentError("points contain non-finite entries")
+        # a NaN mass would pass both checks below, since NaN compares False
+        if not np.all(np.isfinite(self.masses)):
+            raise InvalidArgumentError("masses contain non-finite entries")
         if np.any(self.masses < 0):
             raise InvalidArgumentError("masses must be nonnegative")
         if abs(self.masses.sum() - 1.0) > MASS_SUM_TOL:

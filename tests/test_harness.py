@@ -237,6 +237,15 @@ class TestPointCloudCsv:
         with pytest.raises(ParseError, match="line %d: " % line):
             load_point_cloud_csv(p)
 
+    @pytest.mark.parametrize("text, line", [("0,0\nnan,1\n", 2), ("x,mass\n0,1\n1,inf\n", 3),
+                                            ("-inf,0\n", 1)],
+                             ids=["nan point", "infinite mass", "infinite first row"])
+    def test_non_finite_cells_name_the_line(self, tmp_path, text, line):
+        p = tmp_path / "c.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line %d: non-finite" % line):
+            load_point_cloud_csv(p)
+
 
 class TestCli:
     def test_list_methods(self, capsys):
@@ -299,6 +308,15 @@ class TestCli:
         b.write_text("3,4\n")
         assert cli.main(["eval-w2", "--a", str(a), "--b", str(b)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", [[], ["--eps", "0.01"]], ids=["exact", "entropic"])
+    def test_eval_w2_nan_cell_is_usage_error(self, tmp_path, capsys, eps):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,0\n1,nan\n")
+        b.write_text("3,4\n")
+        assert cli.main(["eval-w2", "--a", str(a), "--b", str(b)] + eps) == 1
+        assert "line 2: non-finite" in capsys.readouterr().err
 
     def test_eval_w2_missing_file_is_usage_error(self, tmp_path, capsys):
         b = tmp_path / "b.csv"

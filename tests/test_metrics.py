@@ -137,6 +137,17 @@ class TestWeightedCloud:
         with pytest.raises(InvalidArgumentError):
             WeightedCloud(points=np.zeros((2, 1)), masses=np.array([1.0]))
 
+    @pytest.mark.parametrize("points, masses", [
+        ([[0.0], [1.0]], [np.nan, 0.5]),
+        ([[0.0], [1.0]], [np.inf, 0.5]),
+        ([[0.0], [np.nan]], [0.5, 0.5]),
+        ([[0.0], [-np.inf]], [0.5, 0.5]),
+    ], ids=["nan mass", "infinite mass", "nan point", "infinite point"])
+    def test_non_finite_input_rejected(self, points, masses):
+        # a NaN mass compares False with both the sign and the sum check
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            WeightedCloud(points=np.array(points), masses=np.array(masses))
+
     def test_from_state(self):
         state = random_state(4, 2, seed=0, nonuniform=True)
         cloud = WeightedCloud.from_state(state)

@@ -1,0 +1,106 @@
+"""Property tests: permutation equivariance of the steppers and ParticleState validation."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import rel_err
+from parvikit.core import InvalidArgumentError, ParticleState
+from parvikit.dynamics import METHODS, DynamicsConfig, StepRng, make_stepper
+from parvikit.harness import default_hyperparameters
+from parvikit.targets import gmm_target
+
+# DK kills and duplicates particles by their index in a random stream, so only
+# its distribution, not its output, commutes with relabelling the particles
+NON_DK_METHODS = sorted(name for name, spec in METHODS.items() if spec.weight_mode != "DK")
+PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _states_and_permutations(draw):
+    """A 3-10 particle state in 1-3 dimensions with random velocities and weights,
+    and a permutation of its particles."""
+    m = draw(st.integers(3, 10))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.uniform(0.1, 1.0, m)
+    state = ParticleState(positions=rng.normal(size=(m, dim)),
+                          velocities=0.5 * rng.normal(size=(m, dim)),
+                          weights=weights / weights.sum(), iteration=draw(st.integers(0, 5)))
+    return state, np.array(draw(st.permutations(range(m))))
+
+
+@st.composite
+def _malformed_states(draw):
+    """Keyword arguments of ParticleState with exactly one malformed field."""
+    m = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 3))
+    fields = dict(positions=np.zeros((m, dim)), velocities=np.zeros((m, dim)),
+                  weights=np.full(m, 1.0 / m))
+    defect = draw(st.sampled_from(["positions_1d", "velocities_shape", "weights_shape",
+                                   "negative_weight", "bad_weight", "bad_position",
+                                   "bad_velocity"]))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    i = draw(st.integers(0, m - 1))
+    if defect == "positions_1d":
+        fields["positions"] = np.zeros(m)
+    elif defect == "velocities_shape":
+        fields["velocities"] = np.zeros((m + 1, dim))
+    elif defect == "weights_shape":
+        fields["weights"] = np.full(m + 1, 1.0 / (m + 1))
+    elif defect == "negative_weight":
+        # moving a unit of mass keeps the sum at 1, so only the sign check catches it
+        fields["weights"][i] -= 1.0
+        fields["weights"][(i + 1) % m] += 1.0
+    elif defect == "bad_weight":
+        fields["weights"][i] = bad
+    elif defect == "bad_position":
+        fields["positions"][i, draw(st.integers(0, dim - 1))] = bad
+    else:
+        fields["velocities"][i, draw(st.integers(0, dim - 1))] = bad
+    return fields
+
+
+class TestPermutationEquivariance:
+    @PROPERTY_SETTINGS
+    @given(_states_and_permutations())
+    def test_one_step_commutes_with_a_permutation(self, case):
+        weighted, perm = case
+        target = gmm_target(weighted.dim)
+        # SVGD keeps its weights uniform and rejects any other
+        uniform = weighted.replace(weights=np.full(weighted.num_particles,
+                                                   1.0 / weighted.num_particles))
+        for name in NON_DK_METHODS:
+            state = uniform if name == "SVGD" else weighted
+            permuted = state.replace(positions=state.positions[perm],
+                                     velocities=state.velocities[perm],
+                                     weights=state.weights[perm])
+            cfg = DynamicsConfig(**default_hyperparameters(name, "gmm"))
+            out = make_stepper(name, target, cfg, rng=StepRng(3))(state)
+            out_p = make_stepper(name, target, cfg, rng=StepRng(3))(permuted)
+            for field in ("positions", "velocities", "weights"):
+                expected = getattr(out, field)[perm]
+                assert rel_err(getattr(out_p, field), expected) <= 1e-12, (name, field)
+            assert out_p.iteration == out.iteration
+
+    def test_the_method_set(self):
+        assert len(NON_DK_METHODS) == 28
+        assert "SVGD" in NON_DK_METHODS and "WNES-KSDD" in NON_DK_METHODS
+        assert not any("-DK-" in name for name in NON_DK_METHODS)
+
+
+class TestParticleStateRejectsMalformedInput:
+    @PROPERTY_SETTINGS
+    @given(_malformed_states())
+    def test_one_malformed_field_is_rejected(self, fields):
+        with pytest.raises(InvalidArgumentError):
+            ParticleState(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_rejected(self, bad):
+        # NaN compares False with both the sign and the sum check
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            ParticleState(positions=np.zeros((2, 1)), velocities=np.zeros((2, 1)),
+                          weights=np.array([bad, 0.5]))
