@@ -7,8 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
+from scipy.optimize import OptimizeResult, linprog
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+
+try:  # scipy's bundled HiGHS bindings; linprog, which loads them, takes no basis
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # then every solve is a cold linprog call
+    _highs = None
 
 from .core import InvalidArgumentError, ParticleState, empirical_moments, squared_distances
 
@@ -19,6 +24,9 @@ SIZE_GUARD = 2_000_000
 # are then 1e-13 of the largest cost, whatever the clouds' units.
 LP_COST_SCALE = 1e3
 GAP_RTOL = 1e-13
+# At HiGHS's default tolerances (1e-7) plans fail the 1e-9 marginal check, and
+# duals left infeasible on the support open a gap that no added cell closes.
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 # Newton seed of its support: at most NEWTON_STEPS damped Newton steps on the
 # entropic semi-dual at each eps of a schedule that shrinks by NEWTON_FACTOR
 # from max C down to NEWTON_EPS * max C.
@@ -150,16 +158,18 @@ def _semi_dual(cost, wa, wb, u, eps):
 
 
 def _newton_support(cost, wa, wb):
-    """Cells whose reduced cost under Newton semi-dual potentials is within 2 eps.
+    """(reduced costs C - u - v under Newton semi-dual potentials, final eps).
 
     Damped Newton ascends the entropic semi-dual in the potentials u of the
     smaller side, so the linear system is min(K_a, K_b) square, and eps
     shrinks as it converges. The other side's potential is the c-transform
-    g_j = min_i (C_ij - u_i), so every reduced cost is >= 0 and each column
-    has a zero.
+    v_j = min_i (C_ij - u_i), so every reduced cost is >= 0 and each column
+    has a zero (each row, when the smaller side is b). The support seed is
+    the band of cells with reduced cost <= 2 eps.
     """
     if wa.shape[0] > wb.shape[0]:
-        return _newton_support(cost.T, wb, wa).T
+        reduced, eps = _newton_support(cost.T, wb, wa)
+        return reduced.T, eps
     ka = wa.shape[0]
     u = np.zeros(ka)
     tol = 1e-3 * wa.min()
@@ -194,7 +204,8 @@ def _newton_support(cost, wa, wb):
             break
         eps = max(NEWTON_FACTOR * eps, NEWTON_EPS * top)
     reduced = cost - u[:, None]
-    return reduced - reduced.min(axis=0) <= 2.0 * eps
+    reduced -= reduced.min(axis=0)
+    return reduced, eps
 
 
 def _north_west_corner(wa, wb):
@@ -209,15 +220,24 @@ def _north_west_corner(wa, wb):
     return rows, np.arange(rows.shape[0]) - rows
 
 
+def _cells(mask):
+    """(rows, cols) of the True cells of a 2-D mask, in row-major order; np.nonzero's
+    result, several times faster on a wide mask."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _graph(shape, rows, cols, weight=1.0):
+    """Bipartite graph on the rows then the columns, with an edge of `weight` per cell
+    (rows, cols). Edges of weight 0 count as missing."""
+    nodes = shape[0] + shape[1]
+    weight = np.broadcast_to(weight, rows.shape)
+    return sparse.csr_matrix((weight, (rows, shape[0] + cols)), shape=(nodes, nodes))
+
+
 def _components(shape, rows, cols):
     """(count, labels) of the connected components of the bipartite graph whose
-    edges are the cells (rows, cols), rows sorted: the labels of the rows, then
-    the columns."""
-    nodes = shape[0] + shape[1]
-    graph = sparse.csr_matrix(
-        (np.ones(rows.shape[0]), shape[0] + cols, np.searchsorted(rows, np.arange(nodes + 1))),
-        shape=(nodes, nodes))
-    return connected_components(graph, directed=False)
+    edges are the cells (rows, cols): the labels of the rows, then the columns."""
+    return connected_components(_graph(shape, rows, cols), directed=False)
 
 
 def _may_carry(support, wa, wb):
@@ -225,31 +245,135 @@ def _may_carry(support, wa, wb):
     connected component of the support must hold as much row mass as column
     mass, to HiGHS's 1e-10 tolerance. An atom with no cell is a component of
     its own, so every atom needs a cell."""
-    count, label = _components(support.shape, *np.nonzero(support))
+    count, label = _components(support.shape, *_cells(support))
     excess = np.bincount(label, np.concatenate((wa, -wb)), count)
     return np.abs(excess).max() <= 1e-10
 
 
-def _transport_lp(cost, wa, wb, rows, cols):
-    """Transport LP restricted to the cells (rows, cols).
+def _forest_basis(shape, rows, cols, weight):
+    """A transport basis on the cells (rows, cols), in row-major order.
+
+    Returns (basic cells, basic equality rows) as masks. The basic cells are
+    a minimum spanning forest of the cells under `weight`, and each forest
+    component without the dropped last column's equality gets one basic
+    equality row, its first, so the basis has one member per equality.
+    """
+    # shifted to >= 1, because the forest drops edges of weight 0
+    tree = minimum_spanning_tree(_graph(shape, rows, cols, weight - weight.min() + 1.0)).tocoo()
+    row, col = np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col) - shape[0]
+    basic = np.zeros(rows.shape[0], dtype=bool)
+    basic[np.searchsorted(rows * shape[1] + cols, row * shape[1] + col)] = True
+    _, label = connected_components(tree, directed=False)
+    _, first = np.unique(label, return_index=True)
+    basic_rows = np.zeros(shape[0] + shape[1] - 1, dtype=bool)
+    basic_rows[first[label[first] != label[-1]]] = True
+    return basic, basic_rows
+
+
+class _TransportLP:
+    """Transport LP between the masses (wa, wb), restricted to cells that only grow.
+
+    One equality (the last column's) is redundant and dropped, which fixes
+    its dual at 0. `highs` is the live HiGHS model once _solve_lp has built
+    it, holding the first `loaded` cells; `basis` is the start it is built
+    from, as _forest_basis returns it.
+    """
+
+    def __init__(self, wa, wb, rows, cols, basis=None):
+        self.wa, self.wb = wa, wb
+        self.rows, self.cols = rows, cols
+        self.basis = basis
+        self.highs = None
+        self.loaded = 0
+
+    def add(self, rows, cols):
+        self.rows = np.concatenate((self.rows, rows))
+        self.cols = np.concatenate((self.cols, cols))
+
+    def columns(self, start=0):
+        """CSC (starts, row indices) of the equality columns of cells start:; every
+        entry is 1."""
+        rows, cols = self.rows[start:], self.cols[start:]
+        ka, kb = self.wa.shape[0], self.wb.shape[0]
+        index = np.stack((rows, ka + cols), axis=1).ravel()
+        index = index[index < ka + kb - 1].astype(np.int32)
+        starts = np.zeros(rows.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.where(cols < kb - 1, 2, 1), out=starts[1:])
+        return starts, index
+
+
+def _load(c, lp):
+    """The live HiGHS model of lp with costs c, started from lp.basis."""
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    for option, value in LP_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    masses = np.concatenate((lp.wa, lp.wb))[:-1]
+    highs.addRows(masses.shape[0], masses, masses, 0, np.zeros(0, np.int32), np.zeros(0, np.int32),
+                  np.zeros(0))
+    _add_columns(highs, c, lp)
+    if lp.basis is not None:
+        status = np.array([_highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kBasic],
+                          dtype=object)
+        basis = _highs.HighsBasis()
+        basis.col_status = status[lp.basis[0].view(np.int8)]
+        basis.row_status = status[lp.basis[1].view(np.int8)]
+        highs.setBasis(basis)
+    return highs
+
+
+def _add_columns(highs, c, lp):
+    """Append lp's cells from lp.loaded on to the live model."""
+    starts, index = lp.columns(lp.loaded)
+    count = starts.shape[0] - 1
+    highs.addCols(count, c[lp.loaded:], np.zeros(count), np.full(count, _highs.kHighsInf),
+                  index.shape[0], starts[:-1], index, np.ones(index.shape[0]))
+    lp.loaded += count
+
+
+def _solve_lp(c, lp):
+    """Minimise c @ x over the plans on lp's cells; a linprog-style OptimizeResult.
+
+    With scipy's HiGHS bindings the model stays live across calls: the first
+    builds it from lp.basis, later ones append the cells added since, so
+    HiGHS starts from its last basis. Without them each call is a cold
+    linprog solve. `status` is 0 (optimal), 2 (infeasible) or 4 with the
+    solver's message.
+    """
+    if _highs is None:
+        starts, index = lp.columns()
+        a_eq = sparse.csc_matrix((np.ones(index.shape[0]), index, starts),
+                                 shape=(lp.wa.shape[0] + lp.wb.shape[0] - 1, c.shape[0]))
+        return linprog(c, A_eq=a_eq, b_eq=np.concatenate((lp.wa, lp.wb))[:-1], bounds=(0, None),
+                       method="highs", options=LP_OPTIONS)
+    if lp.highs is None:
+        lp.highs = _load(c, lp)
+    elif lp.loaded < c.shape[0]:
+        _add_columns(lp.highs, c, lp)
+    highs = lp.highs
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    res = OptimizeResult(status=4, success=False, message=highs.modelStatusToString(model_status),
+                         nit=info.simplex_iteration_count)
+    if model_status == _highs.HighsModelStatus.kInfeasible:
+        res.status = 2
+    elif model_status == _highs.HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        res.update(status=0, success=True, fun=info.objective_function_value,
+                   x=np.array(solution.col_value),
+                   eqlin=OptimizeResult(marginals=np.array(solution.row_dual)))
+    return res
+
+
+def _transport_lp(cost, lp):
+    """Solve lp on the cost matrix's cells.
 
     Returns (value, plan entries, row duals u, column duals v), or None if
-    the cells cannot carry the masses. One equality (the last column's) is
-    redundant and dropped, which fixes its dual at 0.
+    the cells cannot carry the masses.
     """
-    ka, kb = cost.shape
-    nvar = rows.shape[0]
-    var_idx = np.arange(nvar)
-    a_eq = sparse.csr_matrix(
-        (np.ones(2 * nvar), (np.concatenate([rows, ka + cols]), np.concatenate([var_idx, var_idx]))),
-        shape=(ka + kb, nvar),
-    )[:-1]
-    b_eq = np.concatenate([wa, wb])[:-1]
-    # At HiGHS's default tolerances (1e-7) plans fail the 1e-9 marginal check, and
-    # duals left infeasible on the support open a gap that no added cell closes.
-    res = linprog(cost[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    ka = lp.wa.shape[0]
+    res = _solve_lp(cost[lp.rows, lp.cols], lp)
     if res.status == 2:
         return None
     if not res.success:
@@ -298,7 +422,11 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     connected component of the band holds unequal row and column mass, and
     after it if HiGHS finds the restricted LP infeasible. The HiGHS simplex
     solves the LP restricted to the support at primal and dual feasibility
-    tolerances of 1e-10 (on costs scaled to a largest entry of 1e3). Row
+    tolerances of 1e-10 (on costs scaled to a largest entry of 1e3), started
+    from the basis of the support's minimum spanning forest under the Newton
+    reduced costs. The model stays live: cells that join the support later
+    are appended to it, and HiGHS goes on from its last basis. Without
+    scipy's HiGHS bindings each solve is a cold linprog call instead. Row
     duals u give the lower bound D = sum_i a_i u_i + sum_j b_j min_i (C_ij - u_i),
     dual-feasible on every cell by construction, so once the restricted
     optimum P satisfies P - D <= 1e-13 * P + ulp(max C) it is the dense LP's
@@ -320,18 +448,23 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
     cost, wa, wb = _positive_atoms(a, b)
     unit = cost.max() / LP_COST_SCALE or 1.0
     cost = cost / unit
-    support = _newton_support(cost, wa, wb)
+    newton_reduced, eps = _newton_support(cost, wa, wb)
+    support = newton_reduced <= 2.0 * eps
     staircase = _north_west_corner(wa, wb)
     if not _may_carry(support, wa, wb):
         support[staircase] = True
+    rows, cols = _cells(support)
+    lp = _TransportLP(wa, wb, rows, cols,
+                      _forest_basis(cost.shape, rows, cols, newton_reduced[rows, cols]))
     # the support grows every round, so the loop ends
     while True:
-        rows, cols = np.nonzero(support)
-        solved = _transport_lp(cost, wa, wb, rows, cols)
+        solved = _transport_lp(cost, lp)
         if solved is None:
-            if support[staircase].all():
+            missing = ~support[staircase]
+            if not missing.any():
                 raise RuntimeError("transport LP infeasible on a support holding the "
                                    "north-west-corner plan")
+            lp.add(staircase[0][missing], staircase[1][missing])
             support[staircase] = True
             continue
         value, x, u, v = solved
@@ -340,17 +473,18 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
         slack = GAP_RTOL * value + np.spacing(LP_COST_SCALE)
         if gap <= slack:
             break
-        shifted = _shifted_duals(cost, rows, cols, x, u, v)
+        shifted = _shifted_duals(cost, lp.rows, lp.cols, x, u, v)
         if value - (wa @ shifted + wb @ (cost - shifted[:, None]).min(axis=0)) <= slack:
             break
         grow = (reduced < v) & ~support
         if not grow.any():
             raise RuntimeError("transport LP duality gap %g stays open with no cell to add"
                                % (gap * unit))
+        lp.add(*_cells(grow))
         support |= grow
     viol = max(
-        np.abs(np.bincount(rows, x, wa.shape[0]) - wa).max(),
-        np.abs(np.bincount(cols, x, wb.shape[0]) - wb).max(),
+        np.abs(np.bincount(lp.rows, x, wa.shape[0]) - wa).max(),
+        np.abs(np.bincount(lp.cols, x, wb.shape[0]) - wb).max(),
     )
     if viol > 1e-9:
         raise RuntimeError("optimal plan marginals violate masses by %g" % viol)

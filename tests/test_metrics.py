@@ -89,16 +89,21 @@ def _oracle_cases():
 
 
 def _count_solves(monkeypatch):
-    """Wrap parvikit.metrics.linprog; the returned list grows by one per solve."""
+    """Wrap parvikit.metrics._solve_lp; the returned list grows by one per solve."""
     solves = []
-    real = parvikit.metrics.linprog
+    real = parvikit.metrics._solve_lp
 
-    def counting_linprog(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         solves.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(parvikit.metrics, "linprog", counting_linprog)
+    monkeypatch.setattr(parvikit.metrics, "_solve_lp", counting_solve)
     return solves
+
+
+def _seed(band):
+    """A _newton_support result whose band is exactly `band`."""
+    return np.where(band, 0.0, 1.0), 0.0
 
 
 def _assert_matches_oracle(value, a, b, label):
@@ -227,13 +232,13 @@ class TestExactW2:
 class TestSparseExactW2:
     def test_matches_dense_oracle(self, monkeypatch):
         solves = []
-        real = parvikit.metrics.linprog
+        real = parvikit.metrics._solve_lp
 
-        def counting_linprog(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(parvikit.metrics, "linprog", counting_linprog)
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", counting_solve)
         rounds = {}
         for label, a, b in _oracle_cases():
             solves.clear()
@@ -261,7 +266,7 @@ class TestSparseExactW2:
         # an empty seed leaves the north-west staircase, so the repair rounds
         # must grow the support to an optimal one
         monkeypatch.setattr(parvikit.metrics, "_newton_support",
-                            lambda cost, wa, wb: np.zeros(cost.shape, dtype=bool))
+                            lambda cost, wa, wb: _seed(np.zeros(cost.shape, dtype=bool)))
         solves = _count_solves(monkeypatch)
         rounds = {}
         for label, a, b in _oracle_cases():
@@ -274,20 +279,20 @@ class TestSparseExactW2:
     def test_first_solve_sees_the_band_alone(self, monkeypatch):
         # the north-west staircase joins the first solve only when the band
         # cannot carry the masses
-        real_support, real_lp = parvikit.metrics._newton_support, parvikit.metrics.linprog
+        real_support, real_lp = parvikit.metrics._newton_support, parvikit.metrics._solve_lp
         bands, costs = [], []
 
         def recording_support(cost, wa, wb):
-            band = real_support(cost, wa, wb)
-            bands.append((cost, band.copy(), wa, wb))
-            return band
+            reduced, eps = real_support(cost, wa, wb)
+            bands.append((cost, reduced <= 2.0 * eps, wa, wb))
+            return reduced, eps
 
         def recording_lp(c, *args, **kwargs):
             costs.append(c)
             return real_lp(c, *args, **kwargs)
 
         monkeypatch.setattr(parvikit.metrics, "_newton_support", recording_support)
-        monkeypatch.setattr(parvikit.metrics, "linprog", recording_lp)
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", recording_lp)
         for label, a, b in _oracle_cases():
             if not label.startswith("64 x 512"):
                 continue
@@ -308,7 +313,7 @@ class TestSparseExactW2:
         # infeasible, and the staircase joins it for the second solve
         band = np.zeros((3, 3), dtype=bool)
         band[[0, 1, 2, 2, 2], [0, 0, 0, 1, 2]] = True
-        monkeypatch.setattr(parvikit.metrics, "_newton_support", lambda cost, wa, wb: band.copy())
+        monkeypatch.setattr(parvikit.metrics, "_newton_support", lambda cost, wa, wb: _seed(band))
         solves = _count_solves(monkeypatch)
         a = _cloud([[0.0], [1.0], [2.0]], [0.4, 0.4, 0.2])
         b = _cloud([[0.5], [1.5], [2.5]], [0.2, 0.4, 0.4])
@@ -318,7 +323,7 @@ class TestSparseExactW2:
         _assert_matches_oracle(value, a, b, "band without a plan")
 
     def test_infeasible_with_the_staircase_raises(self, monkeypatch):
-        real = parvikit.metrics.linprog
+        real = parvikit.metrics._solve_lp
         calls = []
 
         def infeasible(*args, **kwargs):
@@ -327,7 +332,7 @@ class TestSparseExactW2:
             res.status = 2
             return res
 
-        monkeypatch.setattr(parvikit.metrics, "linprog", infeasible)
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", infeasible)
         rng = np.random.default_rng(13)
         # the band passes the precheck, so the staircase joins it for the second solve
         with pytest.raises(RuntimeError, match="infeasible on a support holding"):
@@ -355,10 +360,10 @@ class TestSparseExactW2:
         assert abs(wasserstein2_exact(a, b) - oracle) <= 1e-9 * oracle
 
     def _zero_duals(self, monkeypatch):
-        """linprog whose duals are shifted to 0: every reduced cost is C >= 0, yet
+        """A solve whose duals are shifted to 0: every reduced cost is C >= 0, yet
         the c-transform bound sum_j b_j min_i C_ij stays below the optimum."""
         calls = []
-        real = parvikit.metrics.linprog
+        real = parvikit.metrics._solve_lp
 
         def shifted(*args, **kwargs):
             calls.append(1)
@@ -366,7 +371,7 @@ class TestSparseExactW2:
             res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
             return res
 
-        monkeypatch.setattr(parvikit.metrics, "linprog", shifted)
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", shifted)
         return calls
 
     def test_open_gap_with_no_cell_to_add_raises(self, monkeypatch):
@@ -386,6 +391,183 @@ class TestSparseExactW2:
         pb.write_text("2,2\n3,1\n")
         assert cli.main(["eval-w2", "--a", str(pa), "--b", str(pb)]) == 2
         assert "no cell to add" in capsys.readouterr().err
+
+
+@pytest.fixture
+def linprog_fallback(monkeypatch):
+    """Solve every LP through linprog, as when scipy's HiGHS bindings are missing."""
+    monkeypatch.setattr(parvikit.metrics, "_highs", None)
+
+
+@pytest.mark.usefixtures("linprog_fallback")
+class TestSparseExactW2OnLinprog(TestSparseExactW2):
+    """The sparse solver's tests with every LP a cold linprog solve."""
+
+    # Hypothesis runs a test function for one class only, so the oracle test is
+    # wrapped anew here, with the same settings
+    test_random_small_instances_match_the_oracle = settings(
+        max_examples=150, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow])(given(_random_cloud_pairs())(
+            TestSparseExactW2.test_random_small_instances_match_the_oracle.hypothesis.inner_test))
+
+
+def _wrong_forest(monkeypatch, potentials, rng):
+    """Build every basis from the reduced costs C - u - v of wrong row potentials u
+    (zeros, or random on the scale of C) with v their c-transform."""
+    real_support, real_forest = parvikit.metrics._newton_support, parvikit.metrics._forest_basis
+    costs = []
+
+    def recording_support(cost, wa, wb):
+        seed = real_support(cost, wa, wb)
+        costs.append(cost)  # after a transposed inner call, so the caller's cost is last
+        return seed
+
+    def wrong_forest(shape, rows, cols, weight):
+        cost = costs[-1]
+        u = np.zeros(shape[0]) if potentials == "zeros" else rng.uniform(0.0, cost.max(), shape[0])
+        reduced = cost - u[:, None]
+        reduced -= reduced.min(axis=0)
+        return real_forest(shape, rows, cols, reduced[rows, cols])
+
+    monkeypatch.setattr(parvikit.metrics, "_newton_support", recording_support)
+    monkeypatch.setattr(parvikit.metrics, "_forest_basis", wrong_forest)
+
+
+class _TimedOut:
+    """scipy's HiGHS bindings, except that every model reports a time limit."""
+
+    def __init__(self, core, highs=None):
+        self._core, self._highs = core, highs
+
+    def __getattr__(self, name):
+        return getattr(self._highs or self._core, name)
+
+    def _Highs(self):
+        return _TimedOut(self._core, self._core._Highs())
+
+    def getModelStatus(self):
+        return self._core.HighsModelStatus.kTimeLimit
+
+
+class TestWarmBasis:
+    """The live HiGHS model and its spanning-forest start."""
+
+    def test_model_matches_linprog(self, monkeypatch):
+        # started cold, the live model runs linprog's HiGHS solve and returns the
+        # same value, plan and row duals; from the forest basis it returns the same
+        # value, with row duals that are tight and feasible on the cells
+        real = parvikit.metrics._solve_lp
+        firsts = []
+
+        def recording(c, lp):
+            if lp.highs is None:
+                firsts.append((c, lp.wa, lp.wb, lp.rows, lp.cols, lp.basis))
+            return real(c, lp)
+
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", recording)
+        for label, a, b in _oracle_cases():
+            firsts.clear()
+            wasserstein2_exact(a, b)
+            c, wa, wb, rows, cols, basis = firsts[0]
+            # one basic member per kept equality, and HiGHS takes the basis as it is
+            assert basis[0].sum() + basis[1].sum() == wa.shape[0] + wb.shape[0] - 1, label
+            warm_lp = parvikit.metrics._TransportLP(wa, wb, rows, cols, basis)
+            warm_lp.highs = parvikit.metrics._load(c, warm_lp)
+            assert warm_lp.highs.getBasis().valid, label
+            warm = real(c, warm_lp)
+            cold = real(c, parvikit.metrics._TransportLP(wa, wb, rows, cols))
+            if label.startswith("64 x 512"):
+                assert 4 * warm.nit <= cold.nit, (label, warm.nit, cold.nit)
+            with monkeypatch.context() as patch:
+                patch.setattr(parvikit.metrics, "_highs", None)
+                res = real(c, parvikit.metrics._TransportLP(wa, wb, rows, cols))
+            assert res.status == cold.status == warm.status == 0, label
+            assert cold.fun == res.fun, label
+            assert np.array_equal(cold.x, res.x), label
+            assert np.array_equal(cold.eqlin.marginals, res.eqlin.marginals), label
+            slack = parvikit.metrics.GAP_RTOL * res.fun + np.spacing(parvikit.metrics.LP_COST_SCALE)
+            assert abs(warm.fun - res.fun) <= slack, label
+            duals = np.append(warm.eqlin.marginals, 0.0)
+            assert abs(duals @ np.concatenate((wa, wb)) - res.fun) <= slack, label
+            assert (c - duals[rows] - duals[wa.shape[0] + cols]).min() >= -1e-9, label
+
+    @pytest.mark.parametrize("potentials", ["zeros", "random"])
+    def test_a_wrong_basis_changes_no_value(self, monkeypatch, potentials):
+        _wrong_forest(monkeypatch, potentials, np.random.default_rng(17))
+        rng = np.random.default_rng(18)
+        cases = _oracle_cases() + [
+            # K_a > K_b: the Newton seed runs on the transposed cost
+            ("40 x 15", _cloud(rng.normal(size=(40, 2)), rng.dirichlet(np.ones(40))),
+             _cloud(rng.normal(size=(15, 2)) + 0.5, rng.dirichlet(np.ones(15)))),
+        ]
+        for label, a, b in cases:
+            _assert_matches_oracle(wasserstein2_exact(a, b), a, b, label)
+
+    @pytest.mark.parametrize("potentials", ["newton", "zeros", "random"])
+    def test_uniform_assignment_certifies_in_one_solve(self, monkeypatch, potentials):
+        # a uniform 16 x 16 assignment is as degenerate as a transport LP gets
+        if potentials != "newton":
+            _wrong_forest(monkeypatch, potentials, np.random.default_rng(19))
+        solves = _count_solves(monkeypatch)
+        rng = np.random.default_rng(20)
+        for k in range(10):
+            a = _cloud(rng.normal(size=(16, 2)))
+            b = _cloud(rng.normal(size=(16, 2)))
+            solves.clear()
+            value = wasserstein2_exact(a, b)
+            assert len(solves) == 1, k
+            _assert_matches_oracle(value, a, b, k)
+
+    @pytest.mark.parametrize("potentials", ["newton", "zeros", "random"])
+    def test_two_component_band_takes_a_basic_row(self, monkeypatch, potentials):
+        # the band {r2, c0} + {r0, r1, c1, c2} is two balanced components; the one
+        # without the dropped last column's equality needs a basic row
+        band = np.zeros((3, 3), dtype=bool)
+        band[[2, 0, 1, 0], [0, 1, 2, 2]] = True
+        monkeypatch.setattr(parvikit.metrics, "_newton_support", lambda cost, wa, wb: _seed(band))
+        if potentials != "newton":
+            _wrong_forest(monkeypatch, potentials, np.random.default_rng(21))
+        real_forest = parvikit.metrics._forest_basis
+        bases = []
+
+        def recording_forest(*args):
+            bases.append(real_forest(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(parvikit.metrics, "_forest_basis", recording_forest)
+        a = _cloud([[0.0], [1.0], [2.0]], [0.4, 0.4, 0.2])
+        b = _cloud([[0.5], [1.5], [2.5]], [0.2, 0.4, 0.4])
+        _assert_matches_oracle(wasserstein2_exact(a, b), a, b, "two components")
+        (cells, rows), = bases
+        assert cells.sum() == 4 and np.array_equal(np.nonzero(rows)[0], [2])
+
+    @pytest.mark.parametrize("potentials", ["zeros", "random"])
+    def test_infeasible_band_with_a_wrong_basis(self, monkeypatch, potentials):
+        band = np.zeros((3, 3), dtype=bool)
+        band[[0, 1, 2, 2, 2], [0, 0, 0, 1, 2]] = True
+        monkeypatch.setattr(parvikit.metrics, "_newton_support", lambda cost, wa, wb: _seed(band))
+        _wrong_forest(monkeypatch, potentials, np.random.default_rng(22))
+        solves = _count_solves(monkeypatch)
+        a = _cloud([[0.0], [1.0], [2.0]], [0.4, 0.4, 0.2])
+        b = _cloud([[0.5], [1.5], [2.5]], [0.2, 0.4, 0.4])
+        value = wasserstein2_exact(a, b)
+        assert len(solves) == 2
+        _assert_matches_oracle(value, a, b, "band without a plan")
+
+    def test_unexpected_status_raises(self, monkeypatch):
+        monkeypatch.setattr(parvikit.metrics, "_highs", _TimedOut(parvikit.metrics._highs))
+        rng = np.random.default_rng(23)
+        with pytest.raises(RuntimeError, match="transport LP failed: Time limit reached"):
+            wasserstein2_exact(_cloud(rng.normal(size=(8, 2))), _cloud(rng.normal(size=(9, 2))))
+
+    def test_cli_exits_2_on_an_unexpected_status(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(parvikit.metrics, "_highs", _TimedOut(parvikit.metrics._highs))
+        pa = tmp_path / "a.csv"
+        pb = tmp_path / "b.csv"
+        pa.write_text("0,0\n1,0\n0,1\n")
+        pb.write_text("2,2\n3,1\n")
+        assert cli.main(["eval-w2", "--a", str(pa), "--b", str(pb)]) == 2
+        assert "transport LP failed: Time limit reached" in capsys.readouterr().err
 
 
 class TestSinkhorn:

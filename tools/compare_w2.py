@@ -11,13 +11,16 @@ reference samples over 2000 iterations (one run per --default-seeds entry).
 
 Each tree's `parvikit` package is imported under its own name, so both solve
 every instance in one interpreter with BLAS pinned to one thread, and the two
-sides alternate which goes first. Per config it prints each side's total time
-over the instances (best of --repeats), split into the support seed, the LP
-solves and the rest (certificate and set-up), the mean number of cells in an
-instance's first LP (`cells1`), the number of instances whose support HiGHS
-found infeasible before it was joined with the north-west staircase
-(`infeas`), the histogram of LP solves per instance, and the largest relative
-deviation between the two sides' values.
+sides alternate which goes first. The LP solves are timed at the tree's solve
+seam: `metrics._solve_lp` where it exists, else `metrics.linprog`. Per config
+it prints each side's total time over the instances (best of --repeats),
+split into the support seed, the LP solves and the rest (certificate and
+set-up), the mean number of cells in an instance's first LP (`cells1`), the
+number of instances whose support HiGHS found infeasible before it was
+joined with the north-west staircase (`infeas`), the total simplex
+iterations (`iters`), the histogram of LP solves per instance, and on a
+second line the histogram of simplex iterations in each instance's first LP.
+It ends with the largest relative deviation between the two sides' values.
 The exit status is 1 if that deviation exceeds 1e-12 on any instance, else 0.
 """
 
@@ -37,8 +40,12 @@ from compare_steps import load_tree  # noqa: E402
 
 # the support seed's name in each generation of the solver
 SEED_FUNCTIONS = ("_newton_support", "_entropic_support")
+# the LP solve seam, newest first; both return a linprog-style result
+SOLVE_FUNCTIONS = ("_solve_lp", "linprog")
 MAX_DEVIATION = 1e-12
-INFEASIBLE = 2  # linprog's status for an infeasible LP
+INFEASIBLE = 2  # the seam's status for an infeasible LP, as linprog's
+# bins of the first-LP iteration histogram: [0], [1, 25), [25, 50), ...
+ITERATION_BINS = (0, 1, 25, 50, 100, 250, 500, 1000, 2000)
 CONFIGS = {
     "gmm2-run": dict(method="WGAD-CA-BLOB", target="gmm:2", particles=64, iterations=200,
                      record_every=100, reference_samples=512),
@@ -47,16 +54,17 @@ CONFIGS = {
 
 
 class Side:
-    """One tree's wasserstein2_exact, timed in total, in its support seed and in linprog."""
+    """One tree's wasserstein2_exact, timed in total, in its support seed and in its LP seam."""
 
     def __init__(self, src, alias):
         load_tree(src, alias)
         self.metrics = importlib.import_module(alias + ".metrics")
         self.harness = importlib.import_module(alias + ".harness")
         self.seed_s = self.lp_s = 0.0
-        self.calls = []  # (variables, HiGHS status) of each linprog call
-        self._wrap("linprog", "lp_s",
-                   observe=lambda args, res: self.calls.append((len(args[0]), res.status)))
+        self.calls = []  # (variables, status, simplex iterations) of each solve
+        solve = next(name for name in SOLVE_FUNCTIONS if hasattr(self.metrics, name))
+        self._wrap(solve, "lp_s",
+                   observe=lambda args, res: self.calls.append((len(args[0]), res.status, res.nit)))
         for name in SEED_FUNCTIONS:
             if hasattr(self.metrics, name):
                 self._wrap(name, "seed_s")
@@ -113,6 +121,17 @@ def capture(side, config, seeds):
     return instances
 
 
+def iteration_histogram(counts):
+    """'0: n, 1-24: n, 25-49: n, ...' over the bins of ITERATION_BINS."""
+    edges = ITERATION_BINS + (float("inf"),)
+    parts = []
+    for low, high in zip(edges[:-1], edges[1:]):
+        label = "%d" % low if high == low + 1 else (
+            "%d+" % low if high == float("inf") else "%d-%d" % (low, high - 1))
+        parts.append("%s: %d" % (label, sum(low <= n < high for n in counts)))
+    return ", ".join(parts)
+
+
 def seed_range(text):
     start, _, stop = text.partition(":")
     return range(int(start), int(stop)) if stop else range(int(start), int(start) + 1)
@@ -137,9 +156,9 @@ def main(argv=None):
     args = parse_args(argv)
     sides = [Side(src, "parvikit_w2cmp%d" % i) for i, src in enumerate((args.old_src, args.new_src))]
     worst = 0.0
-    print("%-9s %5s %-4s %9s %9s %9s %9s %7s %6s  %s" % (
+    print("%-9s %5s %-4s %9s %9s %9s %9s %7s %6s %7s  %s" % (
         "config", "inst", "side", "total_s", "seed_s", "lp_s", "other_s", "cells1", "infeas",
-        "solves: instances"))
+        "iters", "solves: instances"))
     for name, seeds in (("gmm2-run", args.seeds), ("default", args.default_seeds)):
         instances = capture(sides[1], CONFIGS[name], seeds)
         if not instances:
@@ -156,10 +175,14 @@ def main(argv=None):
         for label, (_, calls, total, seed_s, lp_s) in zip(("old", "new"), best):
             hist = collections.Counter(len(c) for c in calls)
             cells = sum(c[0][0] for c in calls) / len(calls)
-            infeasible = sum(any(status == INFEASIBLE for _, status in c) for c in calls)
-            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f %7.0f %6d  %s" % (
+            infeasible = sum(any(status == INFEASIBLE for _, status, _ in c) for c in calls)
+            iterations = sum(nit for c in calls for _, _, nit in c)
+            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f %7.0f %6d %7d  %s" % (
                 name, len(instances), label, total, seed_s, lp_s, total - seed_s - lp_s,
-                cells, infeasible, ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
+                cells, infeasible, iterations,
+                ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
+            print("%-9s %5s %-4s first-LP iterations: %s" % ("", "", "", iteration_histogram(
+                [c[0][2] for c in calls])))
         print("%-9s new/old total %.3f" % (name, best[1][2] / best[0][2]))
     print("max relative deviation %.3g (bound %g); best of %d repeats, one BLAS thread"
           % (worst, MAX_DEVIATION, args.repeats))
