@@ -29,10 +29,16 @@ GAP_RTOL = 1e-13
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 # Newton seed of its support: at most NEWTON_STEPS damped Newton steps on the
 # entropic semi-dual at each eps of a schedule that shrinks by NEWTON_FACTOR
-# from max C down to NEWTON_EPS * max C.
+# from max C down to NEWTON_EPS * max C. The last level, whose potentials
+# define the band, stops once the row marginals are within NEWTON_TOL * min a
+# of a; the levels above it only need to land near their central path, and
+# stop at NEWTON_PATH_TOL * min a. Much looser, whole levels take no step and
+# the last one pays for the jump in damped steps.
 NEWTON_EPS = 1e-3
 NEWTON_FACTOR = 0.25
 NEWTON_STEPS = 30
+NEWTON_TOL = 1e-3
+NEWTON_PATH_TOL = 0.5
 
 
 class SizeGuardError(ValueError):
@@ -139,16 +145,16 @@ def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
     return (top + np.log(mat.sum(axis=1, keepdims=True)))[:, 0]
 
 
-def _semi_dual(cost, wa, wb, u, eps):
-    """Entropic semi-dual F(u) and its plan, for row potentials u.
+def _semi_dual(scaled, wa, wb, u, eps):
+    """Entropic semi-dual F(u) and its plan, for row potentials u and the
+    scaled cost -C / eps.
 
     F(u) = sum_i a_i u_i + sum_j b_j g_j with the soft c-transform
     g_j = -eps log sum_i exp((u_i - C_ij) / eps). The plan
     P_ij = b_j softmax_i((u_i - C_ij) / eps) has the column sums b exactly,
     and the gradient of F is a - P1.
     """
-    mat = u[:, None] - cost
-    mat /= eps
+    mat = scaled + (u / eps)[:, None]
     top = mat.max(axis=0)
     mat -= top
     np.exp(mat, out=mat)
@@ -162,20 +168,26 @@ def _newton_support(cost, wa, wb):
 
     Damped Newton ascends the entropic semi-dual in the potentials u of the
     smaller side, so the linear system is min(K_a, K_b) square, and eps
-    shrinks as it converges. The other side's potential is the c-transform
-    v_j = min_i (C_ij - u_i), so every reduced cost is >= 0 and each column
-    has a zero (each row, when the smaller side is b). The support seed is
-    the band of cells with reduced cost <= 2 eps.
+    shrinks as it converges. The schedule is path-following: each level
+    above the last stops once its row marginals are within
+    NEWTON_PATH_TOL * min a, near enough to its central path to start the
+    next, and only the last level converges to NEWTON_TOL * min a. The other
+    side's potential is the c-transform v_j = min_i (C_ij - u_i), so every
+    reduced cost is >= 0 and each column has a zero (each row, when the
+    smaller side is b). The support seed is the band of cells with reduced
+    cost <= 2 eps.
     """
     if wa.shape[0] > wb.shape[0]:
         reduced, eps = _newton_support(cost.T, wb, wa)
         return reduced.T, eps
     ka = wa.shape[0]
     u = np.zeros(ka)
-    tol = 1e-3 * wa.min()
     eps = top = cost.max()
     while eps > 0:
-        value, plan = _semi_dual(cost, wa, wb, u, eps)
+        last = eps <= NEWTON_EPS * top
+        tol = (NEWTON_TOL if last else NEWTON_PATH_TOL) * wa.min()
+        scaled = cost / -eps
+        value, plan = _semi_dual(scaled, wa, wb, u, eps)
         for _ in range(NEWTON_STEPS):
             mass = plan.sum(axis=1)
             grad = wa - mass
@@ -192,7 +204,7 @@ def _newton_support(cost, wa, wb):
             slope = grad @ step
             t = 1.0
             while t > 1e-10:  # Armijo backtracking
-                trial, trial_plan = _semi_dual(cost, wa, wb, u + t * step, eps)
+                trial, trial_plan = _semi_dual(scaled, wa, wb, u + t * step, eps)
                 if trial >= value + 1e-4 * t * slope:
                     break
                 t *= 0.5
@@ -200,7 +212,7 @@ def _newton_support(cost, wa, wb):
                 break
             u = u + t * step
             value, plan = trial, trial_plan
-        if eps <= NEWTON_EPS * top:
+        if last:
             break
         eps = max(NEWTON_FACTOR * eps, NEWTON_EPS * top)
     reduced = cost - u[:, None]
@@ -416,9 +428,11 @@ def wasserstein2_exact(a: WeightedCloud, b: WeightedCloud) -> float:
 
     The support starts from the cells whose reduced cost is within 2 eps
     under entropic semi-dual potentials of the smaller side, found by damped
-    Newton steps as eps shrinks to 1e-3 * max C. This band is joined with the
-    north-west-corner plan, which keeps the LP feasible, only when it cannot
-    carry the masses: before the first solve if an atom has no cell or a
+    Newton steps as eps shrinks by 4x per level to 1e-3 * max C. The schedule
+    is path-following: each level above the last stops once the row
+    marginals are within 0.5 * min a, and only the last converges to
+    1e-3 * min a. This band is joined with the north-west-corner plan, which
+    keeps the LP feasible, only when it cannot carry the masses: before the first solve if an atom has no cell or a
     connected component of the band holds unequal row and column mass, and
     after it if HiGHS finds the restricted LP infeasible. The HiGHS simplex
     solves the LP restricted to the support at primal and dual feasibility

@@ -1,8 +1,18 @@
-"""Shared test helpers: random states and finite-difference oracles."""
+"""Shared test helpers: random states and finite-difference oracles.
 
-import numpy as np
+BLAS runs on one thread unless the caller says otherwise: the suite's small
+factorisations are many times slower on several OpenBLAS threads, and the
+CPU-time criteria assume one. The variables must be set before numpy loads.
+"""
 
-from parvikit.core import ParticleState
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from parvikit.core import ParticleState  # noqa: E402
 
 
 def random_state(m, d, seed=0, nonuniform=False, with_velocity=False):

@@ -570,6 +570,63 @@ class TestWarmBasis:
         assert "transport LP failed: Time limit reached" in capsys.readouterr().err
 
 
+def _count_semi_dual(monkeypatch):
+    """Wrap parvikit.metrics._semi_dual; the returned list grows by one per evaluation."""
+    calls = []
+    real = parvikit.metrics._semi_dual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parvikit.metrics, "_semi_dual", counting)
+    return calls
+
+
+class TestNewtonSeed:
+    """The path-following eps schedule of the Newton support seed."""
+
+    def test_semi_dual_evaluations_of_a_run(self, monkeypatch):
+        # the levels above the last stop near their central path; converging
+        # every level took 65 evaluations over this run's 3 checkpoints
+        calls = _count_semi_dual(monkeypatch)
+        cfg = ExperimentConfig(method="WGAD-CA-BLOB", target="gmm:2", particles=64, iterations=200,
+                               record_every=100, reference_samples=512, seed=0)
+        records, _ = run_experiment(cfg)
+        assert len(records) == 3
+        assert len(calls) <= 45, len(calls)
+
+    def test_first_lp_matches_the_converged_schedule(self, monkeypatch):
+        # on the uniform-mass 64 x 512 cases the loose levels cost fewer
+        # evaluations and move no cell of the first LP
+        real_lp = parvikit.metrics._solve_lp
+        calls = _count_semi_dual(monkeypatch)
+        cells = []
+
+        def recording(c, lp):
+            cells.append((lp.rows.copy(), lp.cols.copy()))
+            return real_lp(c, lp)
+
+        def first_lp(a, b):
+            calls.clear()
+            cells.clear()
+            wasserstein2_exact(a, b)
+            return cells[0], len(calls)
+
+        monkeypatch.setattr(parvikit.metrics, "_solve_lp", recording)
+        uniform = [(label, a, b) for label, a, b in _oracle_cases()
+                   if label.startswith("64 x 512") and a.masses.min() == a.masses.max()]
+        assert len(uniform) == 2
+        for label, a, b in uniform:
+            loose, loose_calls = first_lp(a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(parvikit.metrics, "NEWTON_PATH_TOL", parvikit.metrics.NEWTON_TOL)
+                converged, converged_calls = first_lp(a, b)
+            assert loose_calls < converged_calls, (label, loose_calls, converged_calls)
+            assert np.array_equal(loose[0], converged[0]), label
+            assert np.array_equal(loose[1], converged[1]), label
+
+
 class TestSinkhorn:
     def test_rejects_bad_arguments(self):
         a = _cloud(np.zeros((2, 1)))

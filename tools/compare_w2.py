@@ -18,8 +18,12 @@ split into the support seed, the LP solves and the rest (certificate and
 set-up), the mean number of cells in an instance's first LP (`cells1`), the
 number of instances whose support HiGHS found infeasible before it was
 joined with the north-west staircase (`infeas`), the total simplex
-iterations (`iters`), the histogram of LP solves per instance, and on a
-second line the histogram of simplex iterations in each instance's first LP.
+iterations (`iters`), the mean number of entropic semi-dual evaluations
+(`evals/i`, calls of `metrics._semi_dual`) and of Newton steps (`steps/i`,
+linear systems solved through the module's `np.linalg.solve`) per instance,
+the histogram of LP solves per instance, and on a second line the histogram
+of simplex iterations in each instance's first LP. A tree whose seed is not
+the Newton one reports 0 evaluations and steps.
 It ends with the largest relative deviation between the two sides' values.
 The exit status is 1 if that deviation exceeds 1e-12 on any instance, else 0.
 """
@@ -34,6 +38,9 @@ import collections  # noqa: E402
 import importlib  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import types  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from compare_steps import load_tree  # noqa: E402
@@ -54,13 +61,15 @@ CONFIGS = {
 
 
 class Side:
-    """One tree's wasserstein2_exact, timed in total, in its support seed and in its LP seam."""
+    """One tree's wasserstein2_exact, timed in total, in its support seed and in its LP seam,
+    with its semi-dual evaluations and Newton steps counted."""
 
     def __init__(self, src, alias):
         load_tree(src, alias)
         self.metrics = importlib.import_module(alias + ".metrics")
         self.harness = importlib.import_module(alias + ".harness")
         self.seed_s = self.lp_s = 0.0
+        self.evals = self.steps = 0
         self.calls = []  # (variables, status, simplex iterations) of each solve
         solve = next(name for name in SOLVE_FUNCTIONS if hasattr(self.metrics, name))
         self._wrap(solve, "lp_s",
@@ -69,6 +78,27 @@ class Side:
             if hasattr(self.metrics, name):
                 self._wrap(name, "seed_s")
                 break
+        if hasattr(self.metrics, "_semi_dual"):
+            self._count("_semi_dual", "evals", self.metrics._semi_dual)
+            # the module's only linear solves are the Newton systems; its `np`
+            # becomes a copy of numpy whose linalg.solve counts them
+            linalg = types.ModuleType(np.linalg.__name__)
+            linalg.__dict__.update(np.linalg.__dict__)
+            self._count("solve", "steps", np.linalg.solve, linalg)
+            counted_np = types.ModuleType(np.__name__)
+            counted_np.__dict__.update(np.__dict__)
+            counted_np.linalg = linalg
+            self.metrics.np = counted_np
+
+    def _count(self, name, total, real, owner=None):
+        """Replace `name` on owner (the metrics module by default) by a wrapper of real
+        that adds one to the attribute `total` per call."""
+
+        def counted(*args, **kwargs):
+            setattr(self, total, getattr(self, total) + 1)
+            return real(*args, **kwargs)
+
+        setattr(self.metrics if owner is None else owner, name, counted)
 
     def _wrap(self, name, total, observe=None):
         """Time calls of the module-level `name`; recursive calls count once."""
@@ -91,15 +121,18 @@ class Side:
         setattr(self.metrics, name, timed)
 
     def time_all(self, instances):
-        """(values, LP calls per instance, total s, seed s, LP s) of one pass."""
+        """(values, LP calls per instance, total s, seed s, LP s, semi-dual evaluations,
+        Newton steps) of one pass."""
         self.seed_s = self.lp_s = 0.0
+        self.evals = self.steps = 0
         values, calls = [], []
         start = time.perf_counter()
         for a, b in instances:
             del self.calls[:]
             values.append(self.metrics.wasserstein2_exact(a, b))
             calls.append(list(self.calls))
-        return values, calls, time.perf_counter() - start, self.seed_s, self.lp_s
+        return (values, calls, time.perf_counter() - start, self.seed_s, self.lp_s, self.evals,
+                self.steps)
 
 
 def capture(side, config, seeds):
@@ -156,9 +189,9 @@ def main(argv=None):
     args = parse_args(argv)
     sides = [Side(src, "parvikit_w2cmp%d" % i) for i, src in enumerate((args.old_src, args.new_src))]
     worst = 0.0
-    print("%-9s %5s %-4s %9s %9s %9s %9s %7s %6s %7s  %s" % (
+    print("%-9s %5s %-4s %9s %9s %9s %9s %7s %6s %7s %7s %7s  %s" % (
         "config", "inst", "side", "total_s", "seed_s", "lp_s", "other_s", "cells1", "infeas",
-        "iters", "solves: instances"))
+        "iters", "evals/i", "steps/i", "solves: instances"))
     for name, seeds in (("gmm2-run", args.seeds), ("default", args.default_seeds)):
         instances = capture(sides[1], CONFIGS[name], seeds)
         if not instances:
@@ -172,14 +205,14 @@ def main(argv=None):
                     best[i] = runs[i]
             for old, new in zip(runs[0][0], runs[1][0]):
                 worst = max(worst, abs(new - old) / max(abs(old), 1e-300))
-        for label, (_, calls, total, seed_s, lp_s) in zip(("old", "new"), best):
+        for label, (_, calls, total, seed_s, lp_s, evals, steps) in zip(("old", "new"), best):
             hist = collections.Counter(len(c) for c in calls)
             cells = sum(c[0][0] for c in calls) / len(calls)
             infeasible = sum(any(status == INFEASIBLE for _, status, _ in c) for c in calls)
             iterations = sum(nit for c in calls for _, _, nit in c)
-            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f %7.0f %6d %7d  %s" % (
+            print("%-9s %5d %-4s %9.3f %9.3f %9.3f %9.3f %7.0f %6d %7d %7.1f %7.1f  %s" % (
                 name, len(instances), label, total, seed_s, lp_s, total - seed_s - lp_s,
-                cells, infeasible, iterations,
+                cells, infeasible, iterations, evals / len(calls), steps / len(calls),
                 ", ".join("%d: %d" % kv for kv in sorted(hist.items()))))
             print("%-9s %5s %-4s first-LP iterations: %s" % ("", "", "", iteration_histogram(
                 [c[0][2] for c in calls])))
