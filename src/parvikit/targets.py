@@ -6,8 +6,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlauum, dtrtri
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dlauum, dpotrs, dtrtri
 from scipy.special import logsumexp
 
 from .core import InvalidArgumentError
@@ -249,6 +249,7 @@ class GPData:
 
 
 TRI_LEAF = 48  # diagonal blocks up to this many rows are inverted by dtrtri
+_LEAF_UPPER = np.triu(np.ones((TRI_LEAF, TRI_LEAF), dtype=bool), 1)
 
 
 def _negated_inverse(f, lo, hi):
@@ -258,18 +259,22 @@ def _negated_inverse(f, lo, hi):
     W22 = L22^-1 and W21 = -W22 L21 W11, so -W21 = (-W22) L21 (-W11): once both
     halves hold minus their inverses, the off-diagonal block takes no sign
     change. The halves recurse down to TRI_LEAF rows, which dtrtri inverts.
-    The two products are gemm calls through matmul on views of f, which must
-    hold zeros above the block's diagonal. The zero block opposite W21 holds
-    L21 (-W11) in between, so nothing is allocated but the leaves' copies.
-    This is the blocked triangular inverse whose stability Du Croz & Higham
-    (1992) analyse, with the off-diagonal work done by gemm.
+    The block above the diagonal may hold anything on entry and holds zeros
+    on return: each leaf's strict upper triangle is zeroed after dtrtri,
+    which reads only the lower one, so the two products below, gemm calls
+    through matmul on views of f, see triangular halves. The block opposite
+    W21 holds L21 (-W11) in between, is fully overwritten before it is read
+    and is refilled with zeros, so nothing is allocated but the leaves'
+    copies. This is the blocked triangular inverse whose stability Du Croz &
+    Higham (1992) analyse, with the off-diagonal work done by gemm.
     """
     m = hi - lo
     if m <= TRI_LEAF:
         # info is 0: a Cholesky factor's diagonal is positive
         inv, _ = dtrtri(f[lo:hi, lo:hi], lower=1)
-        np.negative(inv, out=inv)
-        f[lo:hi, lo:hi] = inv
+        leaf = f[lo:hi, lo:hi]
+        np.negative(inv, out=leaf)
+        np.copyto(leaf, 0.0, where=_LEAF_UPPER[:m, :m])
         return
     mid = lo + m // 2
     _negated_inverse(f, lo, mid)
@@ -283,12 +288,12 @@ def _negated_inverse(f, lo, hi):
 def _cho_inverse(f):
     """Overwrite a lower Cholesky factor L of K with the lower triangle of K^-1.
 
-    f is L in Fortran order with zeros above the diagonal, and it stays zero
-    there. K^-1 = W^T W with W = L^-1: `_negated_inverse` turns f into -W in
-    place, and LAPACK dlauum multiplies out (-W)^T (-W), which is the same
-    product. These are the two halves of LAPACK dpotri, whose triangular
-    inverse (OpenBLAS dtrtri) runs at a fraction of gemm speed at a few
-    hundred rows.
+    f is L in Fortran order, with anything above the diagonal, such as the
+    input that `cho_factor` leaves there; on return it holds zeros there.
+    K^-1 = W^T W with W = L^-1: `_negated_inverse` turns f into -W in place,
+    and LAPACK dlauum multiplies out (-W)^T (-W), which is the same product.
+    These are the two halves of LAPACK dpotri, whose triangular inverse
+    (OpenBLAS dtrtri) runs at a fraction of gemm speed at a few hundred rows.
     """
     _negated_inverse(f, 0, f.shape[0])
     return dlauum(f, lower=1, overwrite_c=1)[0]
@@ -299,13 +304,20 @@ class GPHyperparameterTarget(TargetModel):
 
     Kernel K_ij = exp(phi1 - exp(phi2) * (x_i - x_j)^2), noisy Gram
     K_y = K + 0.04 I. Each point costs one Cholesky factorization
-    K_y = L L^T, shared by the potential and the score: alpha = K_y^-1 y and
-    log det K_y come from the factor, and K_y^-1 = L^-T L^-1 from
-    `_cho_inverse` in the factor's own array. The marginal-likelihood
-    gradient is 1/2 sum((alpha alpha^T - K_y^-1) o dK) (Rasmussen & Williams,
-    GPML 2006, sec. 5.4.1), with the trace part taken as an elementwise sum
-    over the triangle of K_y^-1 that `_cho_inverse` fills, so no n x n
-    matrix product with K_y^-1 is formed. No Hessian is provided.
+    K_y = L L^T, shared by the potential and the score: alpha = K_y^-1 y
+    (LAPACK dpotrs) and log det K_y come from the factor, and
+    K_y^-1 = L^-T L^-1 from `_cho_inverse` in the factor's own array. The
+    marginal-likelihood gradient is 1/2 sum((alpha alpha^T - K_y^-1) o dK)
+    (Rasmussen & Williams, GPML 2006, sec. 5.4.1), with the trace part taken
+    as an elementwise sum over the triangle of K_y^-1 that `_cho_inverse`
+    fills, so no n x n matrix product with K_y^-1 is formed. No Hessian is
+    provided.
+
+    Every point is worked in two n x n scratch arrays, built on first use:
+    the kernel buffer holds K and then d2 o K, and the Gram buffer holds K_y,
+    its factor and K_y^-1. The potential alone factors the kernel buffer.
+    Nothing returned is a view of them, and pickles and copies leave them
+    out. Like a stepper, a target is not for concurrent use from two threads.
     """
 
     has_hessian = False
@@ -321,7 +333,11 @@ class GPHyperparameterTarget(TargetModel):
         self.prior_mode = prior_mode
         diff = data.x[:, None] - data.x[None, :]
         self._d2 = diff * diff
-        self._upper_ones = np.triu(np.ones((data.n, data.n)))
+        self._scratch = None
+
+    def __getstate__(self):
+        # a pickled diagonal view comes back as a copy, not a view: rebuild the scratch
+        return {**self.__dict__, "_scratch": None}
 
     def _prior_terms(self, phi):
         if self.prior_mode == "none":
@@ -331,47 +347,55 @@ class GPHyperparameterTarget(TargetModel):
 
     def _evaluate(self, xb, with_score):
         """(log density, score or None) at the batch xb (m, 2), one factorization per row."""
-        n, y = self.data.n, self.data.y
+        n, y, d2 = self.data.n, self.data.y, self._d2
+        if self._scratch is None:
+            kb, gb = np.empty((n, n)), np.empty((n, n))
+            # each buffer with a writable view of its diagonal
+            self._scratch = kb, kb.reshape(-1)[:: n + 1], gb, gb.reshape(-1)[:: n + 1]
+        kb, kdiag, gb, gdiag = self._scratch
         logp = np.empty(xb.shape[0])
         grad = np.empty_like(xb) if with_score else None
-        for i, phi in enumerate(xb):
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked per point
+            for i, phi in enumerate(xb):
                 inv_len = np.exp(phi[1])
-                k = self._d2 * -inv_len
-                k += phi[0]
-                np.exp(k, out=k)
-            ky = k.copy() if with_score else k
-            ky.flat[:: n + 1] += self.JITTER
-            # 0 <= K_ij <= K_ii = exp(phi1), and a nan phi or an infinite exp(phi2)
-            # makes the diagonal nan, so ky is finite iff its diagonal is
-            if not np.isfinite(np.diagonal(ky)).all():
-                raise GramFactorError("noisy Gram matrix is not finite at phi=%s" % phi, i)
-            try:
-                # ky is symmetric, so ky.T is it in Fortran order: LAPACK factors in place
-                cf = cho_factor(ky.T, lower=True, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise GramFactorError(
-                    "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc), i
-                ) from exc
-            alpha = cho_solve(cf, y, check_finite=False)
-            logdet = 2.0 * np.log(np.diagonal(cf[0])).sum()
-            lp, gp = self._prior_terms(phi)
-            logp[i] = -0.5 * y @ alpha - 0.5 * logdet + lp
-            if not with_score:
-                continue
-            # In cf[0].T, the C-ordered view, the factor sits on and above the
-            # diagonal and cho_factor leaves input below it. Zeroed there,
-            # _cho_inverse turns the factor into that triangle of K_y^-1, and its
-            # view tri gives tr(K_y^-1 S) = 2<tri, S> - <diag tri, diag S> for any
-            # symmetric S.
-            np.multiply(cf[0].T, self._upper_ones, out=cf[0].T)
-            tri = _cho_inverse(cf[0]).T
-            tr1 = 2.0 * np.vdot(tri, k) - np.diagonal(tri) @ np.diagonal(k)
-            # d2 o K has a zero diagonal, so its trace needs no diagonal correction
-            dk2 = self._d2 * k
-            tr2 = 2.0 * np.vdot(tri, dk2)
-            grad[i, 0] = 0.5 * (alpha @ (k @ alpha) - tr1) + gp[0]
-            grad[i, 1] = -0.5 * inv_len * (alpha @ (dk2 @ alpha) - tr2) + gp[1]
+                np.multiply(d2, -inv_len, out=kb)
+                kb += phi[0]
+                np.exp(kb, out=kb)
+                if with_score:
+                    np.copyto(gb, kb)
+                    ky, diag = gb, gdiag
+                else:
+                    ky, diag = kb, kdiag
+                diag += self.JITTER
+                # 0 <= K_ij <= K_ii = exp(phi1), and a nan phi or an infinite exp(phi2)
+                # makes the diagonal nan, so ky is finite iff its diagonal is
+                if not np.isfinite(diag).all():
+                    raise GramFactorError("noisy Gram matrix is not finite at phi=%s" % phi, i)
+                try:
+                    # ky is symmetric, so ky.T is it in Fortran order: LAPACK factors in place
+                    c, _ = cho_factor(ky.T, lower=True, overwrite_a=True, check_finite=False)
+                except np.linalg.LinAlgError as exc:
+                    raise GramFactorError(
+                        "noisy Gram matrix is not positive definite at phi=%s: %s" % (phi, exc), i
+                    ) from exc
+                alpha, _ = dpotrs(c, y, lower=1)
+                logdet = 2.0 * np.log(np.diagonal(c)).sum()
+                lp, gp = self._prior_terms(phi)
+                logp[i] = -0.5 * y @ alpha - 0.5 * logdet + lp
+                if not with_score:
+                    continue
+                ka = alpha @ (kb @ alpha)
+                # In c.T, the C-ordered view, _cho_inverse leaves the triangle of
+                # K_y^-1 on and above the diagonal and zeros below it, so its view
+                # tri gives tr(K_y^-1 S) = 2<tri, S> - <diag tri, diag S> for any
+                # symmetric S.
+                tri = _cho_inverse(c).T
+                tr1 = 2.0 * np.vdot(tri, kb) - np.diagonal(tri) @ kdiag
+                # d2 o K has a zero diagonal, so its trace needs no diagonal correction
+                np.multiply(d2, kb, out=kb)
+                tr2 = 2.0 * np.vdot(tri, kb)
+                grad[i, 0] = 0.5 * (ka - tr1) + gp[0]
+                grad[i, 1] = -0.5 * inv_len * (alpha @ (kb @ alpha) - tr2) + gp[1]
         return logp, grad
 
     def log_density(self, x):

@@ -1,4 +1,5 @@
-"""Property tests: permutation equivariance of the steppers and ParticleState validation."""
+"""Property tests: permutation equivariance of the steppers, the weights' simplex and
+uniformity invariants, and ParticleState validation."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import rel_err
 from parvikit.core import InvalidArgumentError, ParticleState
-from parvikit.dynamics import METHODS, DynamicsConfig, StepRng, make_stepper
+from parvikit.dynamics import (
+    CANONICAL_METHODS,
+    METHODS,
+    DynamicsConfig,
+    NumericalDivergenceError,
+    StepRng,
+    make_stepper,
+)
 from parvikit.harness import default_hyperparameters
 from parvikit.targets import gmm_target
 
@@ -89,6 +97,49 @@ class TestPermutationEquivariance:
         assert len(NON_DK_METHODS) == 28
         assert "SVGD" in NON_DK_METHODS and "WNES-KSDD" in NON_DK_METHODS
         assert not any("-DK-" in name for name in NON_DK_METHODS)
+
+
+@st.composite
+def _weighted_runs(draw):
+    """(method, start state, eta_wei, steps): a canonical method on an M <= 24
+    cloud in 1-3 dimensions, up to 20 times the table's eta_wei and <= 30 steps.
+    CA starts from random weights, every other weight rule from uniform ones."""
+    name = draw(st.sampled_from(CANONICAL_METHODS))
+    m = draw(st.integers(2, 24))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = np.full(m, 1.0 / m)
+    if METHODS[name].weight_mode == "CA":
+        weights = rng.dirichlet(np.ones(m))
+    state = ParticleState(positions=rng.normal(size=(m, dim)),
+                          velocities=np.zeros((m, dim)), weights=weights)
+    eta_wei = draw(st.floats(0.0, 20.0)) * default_hyperparameters(name, "gmm")["eta_wei"]
+    return name, state, eta_wei, draw(st.integers(1, 30))
+
+
+class TestWeightInvariants:
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(_weighted_runs())
+    def test_weights_stay_on_the_simplex_or_uniform(self, run):
+        name, state, eta_wei, steps = run
+        hyper = default_hyperparameters(name, "gmm")
+        hyper["eta_wei"] = eta_wei
+        stepper = make_stepper(name, gmm_target(state.dim), DynamicsConfig(**hyper),
+                               rng=StepRng(7))
+        uniform = np.full(state.num_particles, 1.0 / state.num_particles)
+        for _ in range(steps):
+            try:
+                state = stepper(state)
+            except NumericalDivergenceError:
+                # a diverged step returns no state to check; at d = 1 some S- and
+                # KW-metric methods diverge within 30 steps at the table's step sizes
+                break
+            w = state.weights
+            if METHODS[name].weight_mode == "CA":
+                assert w.min() >= 0.0, name
+                assert abs(w.sum() - 1.0) <= 1e-12, name
+            else:  # DK, fixed weights, SVGD and WNES
+                assert np.array_equal(w, uniform), name
 
 
 class TestParticleStateRejectsMalformedInput:

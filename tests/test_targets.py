@@ -1,6 +1,8 @@
 """Target density, score, Hessian and data-ingestion tests."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,8 +12,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 import parvikit.targets
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, random_state, rel_err
 from parvikit.core import InvalidArgumentError
+from parvikit.dynamics import DynamicsConfig, make_stepper
+from parvikit.harness import default_hyperparameters
 from parvikit.targets import (
     TRI_LEAF,
     GaussianMixtureTarget,
@@ -309,6 +313,50 @@ class TestGpTarget:
         assert len(calls) == 14
 
 
+class TestGpScratch:
+    """The two n x n buffers a GP target works in are scratch, not state."""
+
+    PHIS = np.array([[0.2, -9.0], [-0.7, -10.5], [0.9, -8.2]])
+
+    def _output_bits(self, t):
+        """The bytes of the potential and score on a batch and at one point, the
+        log density on the batch and the score at another point."""
+        return [np.asarray(a).tobytes() for a in (
+            *t.potential_and_score(self.PHIS), *t.potential_and_score(self.PHIS[1]),
+            t.log_density(self.PHIS), t.score(self.PHIS[2]))]
+
+    @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_reproduce_the_original(self, clone):
+        t = gp_target(synthetic_gp_data(n=60))
+        expected = self._output_bits(t)  # builds the scratch before the copy
+        assert self._output_bits(clone(t)) == expected
+        assert self._output_bits(t) == expected
+
+    def test_pickled_gp_stepper_steps_like_the_original(self):
+        cfg = DynamicsConfig(**default_hyperparameters("WGAD-CA-BLOB", "gp"))
+        stepper = make_stepper("WGAD-CA-BLOB", gp_target(synthetic_gp_data(n=60)), cfg)
+        start = random_state(8, 2, seed=3)
+        start = start.replace(positions=[0.0, -10.0] + 0.3 * start.positions)
+        stepper(start)
+        copied = pickle.loads(pickle.dumps(stepper))
+        a, b = stepper(start), copied(start)
+        for x, y in zip((a.positions, a.velocities, a.weights),
+                        (b.positions, b.velocities, b.weights)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_results_share_no_memory_with_the_scratch(self):
+        t = gp_target(synthetic_gp_data(n=60))
+        first = t.potential_and_score(self.PHIS)
+        kept = [a.copy() for a in first]
+        single = t.potential_and_score(self.PHIS[0])
+        logp = t.log_density(self.PHIS)
+        for a in (*first, single[1], logp):
+            assert not any(np.shares_memory(a, buf) for buf in t._scratch)
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestBlockedInverse:
     @pytest.mark.parametrize("n", [2, TRI_LEAF, TRI_LEAF + 1, 2 * TRI_LEAF + 1, 90, 221, 300])
     @pytest.mark.parametrize("phi", [(0.0, -9.5), (1.0, -8.0), (-1.0, -11.0)])
@@ -325,6 +373,18 @@ class TestBlockedInverse:
         ref = np.tril(np.linalg.inv(ky))
         assert np.abs(kinv - ref).max() <= 1e-12 * np.abs(ref).max()
         # the triangle above the diagonal stays zero, as the trace identity needs
+        assert not np.triu(kinv, 1).any()
+
+    @pytest.mark.parametrize("n", [2, TRI_LEAF, TRI_LEAF + 1, 2 * TRI_LEAF + 1, 221])
+    def test_takes_a_raw_cho_factor_output(self, n):
+        x = synthetic_gp_data(n=n).x
+        ky = np.exp(0.3 - np.exp(-9.5) * (x[:, None] - x[None, :]) ** 2)
+        ky += GPHyperparameterTarget.JITTER * np.eye(n)
+        raw, _ = cho_factor(ky.T.copy(order="F"), lower=True, check_finite=False)
+        assert np.triu(raw, 1).any()  # the Gram input is left above the diagonal
+        zeroed = np.asfortranarray(np.tril(raw))
+        kinv = _cho_inverse(raw)
+        assert kinv.tobytes() == _cho_inverse(zeroed).tobytes()
         assert not np.triu(kinv, 1).any()
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
