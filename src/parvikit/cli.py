@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     records, _ = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
-    stem = "%s_%s_M%d_seed%d" % (cfg.method, cfg.target, cfg.particles, cfg.seed)
+    stem = cfg.run_stem()
     csv_path = os.path.join(args.out, stem + ".csv")
     write_csv(records, csv_path)
     plot_field = "w2" if records[-1].w2 is not None else "mean_err"

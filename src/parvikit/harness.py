@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,11 +27,6 @@ from .targets import (
     load_two_column_csv,
     sg_target,
     synthetic_gp_data,
-)
-
-CSV_HEADER = (
-    "iteration,wall_seconds,w2,mean_err,cov_err,mode_mass,"
-    "min_weight,max_weight,clamp_count,dk_event_count"
 )
 
 _UNSET = float("nan")
@@ -133,6 +129,10 @@ class ExperimentConfig:
         parse_method(self.method)  # validates the id
         self.target_kind, self.target_dim = _parse_target_id(self.target)
 
+    def run_stem(self) -> str:
+        """File stem of this run's outputs: <method>_<target>_M<particles>_seed<seed>."""
+        return "%s_%s_M%d_seed%d" % (self.method, self.target, self.particles, self.seed)
+
     def resolved_iterations(self) -> int:
         if self.iterations:
             return self.iterations
@@ -185,17 +185,22 @@ def _parse_target_id(ident: str):
     )
 
 
-_BOOL_KEYS = {"warmup", "timing"}
-_INT_KEYS = {"particles", "iterations", "record_every", "seed", "reference_samples"}
-_FLOAT_KEYS = {
-    "init_mean", "init_scale", "eta_pos", "eta_vel", "eta_wei", "gamma",
-    "lambda_kw", "fixed_h",
-}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("expected a boolean")
+    return text.lower() in ("true", "1")
+
+
+def _field_parsers(cls) -> dict:
+    """Field name -> parser of its text form, read from the annotation string
+    (this module defers annotations); "float | None" parses as float."""
+    by_type = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+    return {f.name: by_type[f.type.split(" | ")[0]] for f in fields(cls)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format ('#' starts a comment)."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    parsers = _field_parsers(ExperimentConfig)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -205,20 +210,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ParseError("line %d: expected key=value, got %r" % (lineno, raw))
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in known:
+        if key not in parsers:
             raise ParseError("line %d: unknown config key %r" % (lineno, key))
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected a boolean")
-                values[key] = value.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = parsers[key](value.strip())
         except ValueError as exc:
             raise ParseError("line %d: bad value for %s: %s" % (lineno, key, exc)) from None
     return ExperimentConfig(**values)
@@ -270,6 +265,9 @@ def reference_cloud(cfg: ExperimentConfig, target, rng: StepRng) -> WeightedClou
 
 @dataclass
 class ExperimentRecord:
+    """One checkpoint's diagnostics. Its fields, in order, are the CSV columns;
+    a None is written as an empty cell."""
+
     iteration: int
     wall_seconds: float
     w2: float | None
@@ -282,9 +280,7 @@ class ExperimentRecord:
     dk_event_count: int
 
     def __post_init__(self):
-        values = [self.wall_seconds, self.mean_err, self.cov_err,
-                  self.min_weight, self.max_weight]
-        values += [v for v in (self.w2, self.mode_mass) if v is not None]
+        values = [v for f in fields(self) if (v := getattr(self, f.name)) is not None]
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("record at iteration %d has non-finite fields" % self.iteration)
 
@@ -306,18 +302,15 @@ class _Recorder:
         if self.reference is not None:
             w2 = wasserstein2_exact(WeightedCloud.from_state(state), self.reference)
         moments = empirical_moments(state)
-        if cfg.target_kind == "sg":
-            mean_err, cov_err = moment_errors(state, np.zeros(state.dim), self.target.cov)
-        elif cfg.target_kind == "gmm":
+        if cfg.target_kind != "gp":
             mean_err, cov_err = moment_errors(state, self.target.mean, self.target.cov)
-        else:
+        elif self._prev_moments is None:
             # no closed-form GP moments: record drift since the previous checkpoint
-            if self._prev_moments is None:
-                mean_err, cov_err = 0.0, 0.0
-            else:
-                pm, pc = self._prev_moments
-                mean_err = float(np.linalg.norm(moments.mean - pm))
-                cov_err = float(np.linalg.norm(moments.covariance - pc, ord="fro"))
+            mean_err, cov_err = 0.0, 0.0
+        else:
+            pm, pc = self._prev_moments
+            mean_err = float(np.linalg.norm(moments.mean - pm))
+            cov_err = float(np.linalg.norm(moments.covariance - pc, ord="fro"))
         self._prev_moments = (moments.mean, moments.covariance)
         mm = None
         if cfg.target_kind == "gmm":
@@ -362,14 +355,13 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
+
+
 def write_csv(records, path):
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            str(r.iteration), _cell(r.wall_seconds), _cell(r.w2), _cell(r.mean_err),
-            _cell(r.cov_err), _cell(r.mode_mass), _cell(r.min_weight),
-            _cell(r.max_weight), str(r.clamp_count), str(r.dk_event_count),
-        ]))
+        lines.append(",".join(_cell(getattr(r, f.name)) for f in fields(ExperimentRecord)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -380,22 +372,12 @@ def read_csv_records(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError("unexpected CSV header in %s" % path)
-    records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        records.append(ExperimentRecord(
-            iteration=int(cells[0]),
-            wall_seconds=float(cells[1]),
-            w2=float(cells[2]) if cells[2] else None,
-            mean_err=float(cells[3]),
-            cov_err=float(cells[4]),
-            mode_mass=float(cells[5]) if cells[5] else None,
-            min_weight=float(cells[6]),
-            max_weight=float(cells[7]),
-            clamp_count=int(cells[8]),
-            dk_event_count=int(cells[9]),
-        ))
-    return records
+    parsers = _field_parsers(ExperimentRecord).items()
+    return [
+        ExperimentRecord(**{name: parse(cell) if cell else None
+                            for (name, parse), cell in zip(parsers, line.split(","), strict=True)})
+        for line in lines[1:]
+    ]
 
 
 def write_svg_lineplot(records, field_name: str, path, width=640, height=480):
@@ -432,40 +414,34 @@ def write_svg_lineplot(records, field_name: str, path, width=640, height=480):
         fh.write("\n".join(svg) + "\n")
 
 
+# record fields whose final values sweep aggregates into summary.csv
+_SUMMARY_FIELDS = ("w2", "mean_err", "cov_err")
+
+
 def sweep(cfg: ExperimentConfig, particle_grid, seeds, out_dir):
     """Run a particle-count x seed grid and aggregate final-record metrics.
 
     Writes one CSV per run plus summary.csv with per-cell mean/std of the
     final w2, mean_err and cov_err across seeds.
     """
-    import os
-    from dataclasses import replace as dc_replace
-
+    seeds = list(seeds)  # iterated once per particle count
     os.makedirs(out_dir, exist_ok=True)
-    summary = ["method,target,particles,seeds,w2_mean,w2_std,mean_err_mean,mean_err_std,"
-               "cov_err_mean,cov_err_std"]
+    summary = [",".join(["method", "target", "particles", "seeds"]
+                        + ["%s_%s" % (name, stat) for name in _SUMMARY_FIELDS
+                           for stat in ("mean", "std")])]
     for m in particle_grid:
         finals = []
         for seed in seeds:
-            run_cfg = dc_replace(cfg, particles=m, seed=seed)
+            run_cfg = replace(cfg, particles=m, seed=seed)
             records, _ = run_experiment(run_cfg)
-            name = "%s_%s_M%d_seed%d.csv" % (cfg.method, cfg.target, m, seed)
-            write_csv(records, os.path.join(out_dir, name))
+            write_csv(records, os.path.join(out_dir, run_cfg.run_stem() + ".csv"))
             finals.append(records[-1])
-        w2s = np.array([f.w2 for f in finals if f.w2 is not None], dtype=float)
-        means = np.array([f.mean_err for f in finals])
-        covs = np.array([f.cov_err for f in finals])
-        def stats(arr):
-            if arr.size == 0:
-                return "", ""
-            return repr(float(arr.mean())), repr(float(arr.std()))
-        w2m, w2s_ = stats(w2s)
-        mm, ms = stats(means)
-        cm, cs = stats(covs)
-        summary.append(",".join([
-            cfg.method, cfg.target, str(m), str(len(list(seeds))),
-            w2m, w2s_, mm, ms, cm, cs,
-        ]))
+        row = [cfg.method, cfg.target, str(m), str(len(seeds))]
+        for name in _SUMMARY_FIELDS:
+            values = np.array([getattr(f, name) for f in finals
+                               if getattr(f, name) is not None], dtype=float)
+            row += [_cell(values.mean()), _cell(values.std())] if values.size else ["", ""]
+        summary.append(",".join(row))
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -1,6 +1,8 @@
 """Experiment harness, CSV/SVG output and CLI tests."""
 
+import hashlib
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -102,6 +104,45 @@ class TestConfigText:
         with pytest.raises(ParseError, match="boolean"):
             parse_config_text("warmup=maybe\n")
 
+    # one line per ExperimentConfig field: (text value, parsed value)
+    KEY_VALUES = {
+        "method": ("WGAD-DK-GFSD", "WGAD-DK-GFSD"),
+        "target": ("sg:3", "sg:3"),
+        "particles": ("12", 12),
+        "iterations": ("7", 7),
+        "record_every": ("2", 2),
+        "seed": ("3", 3),
+        "init_mean": ("0.5", 0.5),
+        "init_scale": ("2", 2.0),
+        "eta_pos": ("0.05", 0.05),
+        "eta_vel": ("0.5", 0.5),
+        "eta_wei": ("1e-3", 1e-3),
+        "gamma": ("0.7", 0.7),
+        "lambda_kw": ("2", 2.0),
+        "warmup": ("0", False),
+        "ca_variant": ("as_printed", "as_printed"),
+        "reference_samples": ("100", 100),
+        "data_path": ("x.csv", "x.csv"),
+        "prior_mode": ("none", "none"),
+        "timing": ("1", True),
+        "bandwidth_mode": ("fixed", "fixed"),
+        "fixed_h": ("3", 3.0),
+    }
+
+    def test_every_key_is_covered(self):
+        assert list(self.KEY_VALUES) == [f.name for f in fields(ExperimentConfig)]
+
+    @pytest.mark.parametrize("key", list(KEY_VALUES))
+    def test_key_parses_to_its_type(self, key):
+        text, expected = self.KEY_VALUES[key]
+        value = getattr(parse_config_text("%s=%s\n" % (key, text)), key)
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("line", ["iterations=1.5", "init_mean=abc", "fixed_h="])
+    def test_bad_typed_value_is_a_parse_error(self, line):
+        with pytest.raises(ParseError, match="line 1: bad value"):
+            parse_config_text(line + "\n")
+
 
 class TestInitAndReference:
     def test_init_particles_deterministic(self):
@@ -162,9 +203,9 @@ class TestRunExperiment:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(records)
         back = read_csv_records(path)
-        for r, b in zip(records, back):
-            assert (r.iteration, r.w2, r.mean_err) == (b.iteration, b.w2, b.mean_err)
-            assert r.mode_mass == b.mode_mass
+        assert back == records
+        assert {type(getattr(b, name)) for b in back
+                for name in ("iteration", "clamp_count", "dk_event_count")} == {int}
 
     def test_empty_optional_cells_round_trip(self, tmp_path):
         cfg = parse_config_text(
@@ -176,6 +217,17 @@ class TestRunExperiment:
         write_csv(records, path)
         back = read_csv_records(path)
         assert back[-1].w2 is None and back[-1].mode_mass is None
+
+    def test_timing_writes_wall_seconds(self, tmp_path):
+        for timing in (True, False):
+            cfg = parse_config_text(TINY + "timing=%s\n" % str(timing).lower())
+            records, _ = run_experiment(cfg)
+            write_csv(records, tmp_path / "t.csv")
+            wall = [r.wall_seconds for r in read_csv_records(tmp_path / "t.csv")]
+            if timing:
+                assert all(w > 0.0 for w in wall) and wall == sorted(wall)
+            else:
+                assert wall == [0.0] * len(records)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config_text(TINY)
@@ -203,6 +255,51 @@ class TestSweep:
         assert len(lines) == 3  # header + one row per particle count
         assert (tmp_path / "BLOB_gmm:2_M4_seed0.csv").exists()
         assert (tmp_path / "BLOB_gmm:2_M8_seed1.csv").exists()
+
+    def test_seeds_from_a_generator(self, tmp_path):
+        # the seeds are iterated once per particle count and counted in the summary
+        sweep(parse_config_text(TINY), [4, 8], (s for s in [0, 1]), tmp_path)
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["2", "2"]
+        assert len(list(tmp_path.glob("BLOB_gmm:2_M*_seed*.csv"))) == 4
+
+
+class TestOutputBytes:
+    """The CSV bytes of small runs, pinned across commits (byte-identical
+    reruns of one build are checked above). The sha256 digests were recorded
+    before the CSV columns were derived from ExperimentRecord's fields."""
+
+    HEADER = ("iteration,wall_seconds,w2,mean_err,cov_err,mode_mass,"
+              "min_weight,max_weight,clamp_count,dk_event_count")
+    RUNS = {
+        "gmm:2": ("method=WGAD-CA-BLOB\ntarget=gmm:2\nparticles=8\niterations=10\n"
+                  "record_every=5\nreference_samples=50\n",
+                  "bd7426731d54f5dd180230bc0b7756ced97d707637e37d2d09fee9abe83bd412"),
+        # DK events at iteration 60, no mode mass
+        "sg:3": ("method=WGAD-DK-KSDD\ntarget=sg:3\nparticles=16\niterations=60\n"
+                 "record_every=10\nreference_samples=64\neta_wei=0.05\n",
+                 "fe72f0773deff790abd5a20339676673d18c11e91dacc4b6b98c122559c88557"),
+        # empty w2 and mode_mass cells
+        "gp": ("method=WGAD-CA-BLOB\ntarget=gp\nparticles=4\niterations=2\nrecord_every=1\n",
+               "5294f05dfea65229f7febca585ea61b633004d9ca51106b984793018799d347f"),
+    }
+    SWEEP_SUMMARY = "52002f63de4798c936921e7056777e952316135ff838a969cb33e99c1282ab7a"
+
+    def test_header(self):
+        # test_csv_round_trip checks that write_csv starts with CSV_HEADER
+        assert CSV_HEADER == self.HEADER
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_run_csv_digest(self, tmp_path, run):
+        text, digest = self.RUNS[run]
+        records, _ = run_experiment(parse_config_text(text))
+        write_csv(records, tmp_path / "out.csv")
+        assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+    def test_sweep_summary_digest(self, tmp_path):
+        summary = sweep(parse_config_text(TINY), [4, 8], [0, 1], tmp_path)
+        with open(summary, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.SWEEP_SUMMARY
 
 
 class TestPointCloudCsv:

@@ -1,5 +1,5 @@
-"""Property tests: permutation equivariance of the steppers, the weights' simplex and
-uniformity invariants, and ParticleState validation."""
+"""Property tests: permutation and translation equivariance of the steppers, the
+weights' simplex and uniformity invariants, and ParticleState validation."""
 
 import numpy as np
 import pytest
@@ -17,11 +17,14 @@ from parvikit.dynamics import (
     make_stepper,
 )
 from parvikit.harness import default_hyperparameters
-from parvikit.targets import gmm_target
+from parvikit.targets import GaussianTarget, gmm_target
 
 # DK kills and duplicates particles by their index in a random stream, so only
 # its distribution, not its output, commutes with relabelling the particles
 NON_DK_METHODS = sorted(name for name, spec in METHODS.items() if spec.weight_mode != "DK")
+# the ids on the W metric: WGAD, WAIG, the first-order rows and WNES
+W_METRIC_METHODS = sorted(name for name, spec in METHODS.items()
+                          if spec.metric == "W" and spec.kind != "svgd")
 PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
 
@@ -97,6 +100,57 @@ class TestPermutationEquivariance:
         assert len(NON_DK_METHODS) == 28
         assert "SVGD" in NON_DK_METHODS and "WNES-KSDD" in NON_DK_METHODS
         assert not any("-DK-" in name for name in NON_DK_METHODS)
+
+
+@st.composite
+def _states_and_shifts(draw):
+    """A 3-10 particle state in 1-3 dimensions with random velocities and weights,
+    a Gaussian covariance with eigenvalues >= 0.5 and a shift of up to 10 per axis."""
+    m = draw(st.integers(3, 10))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.uniform(0.1, 1.0, m)
+    state = ParticleState(positions=rng.normal(size=(m, dim)),
+                          velocities=0.5 * rng.normal(size=(m, dim)),
+                          weights=weights / weights.sum())
+    a = rng.normal(size=(dim, dim))
+    return state, a @ a.T + 0.5 * np.eye(dim), rng.uniform(-10.0, 10.0, dim)
+
+
+class TestTranslationEquivariance:
+    # Shifting the cloud and the target's mean together shifts the W-metric
+    # steps' positions and leaves velocities and weights as they are. Exactly
+    # so in real arithmetic; squared_distances expands |x|^2 + |y|^2 - 2 x.y
+    # without centring, so at offset 10 each squared distance carries ~100 eps
+    # of absolute error, which the kernel divides by the nearest-neighbour
+    # bandwidth. Over 340 random cases of this kind the worst relative
+    # deviation after 5 steps was 6e-10 (a KSDD method), and 3e-12 without KSDD.
+    TOLERANCE = 1e-8
+
+    @PROPERTY_SETTINGS
+    @given(_states_and_shifts())
+    def test_five_steps_commute_with_a_shift(self, case):
+        weighted, cov, shift = case
+        uniform = weighted.replace(weights=np.full(weighted.num_particles,
+                                                   1.0 / weighted.num_particles))
+        for name in W_METRIC_METHODS:
+            state = uniform if METHODS[name].weight_mode == "DK" else weighted
+            # no warm-up, so that the weight rules act from the first step
+            cfg = DynamicsConfig(warmup=False, **default_hyperparameters(name, "sg"))
+            step = make_stepper(name, GaussianTarget(cov), cfg, rng=StepRng(3))
+            step_shifted = make_stepper(name, GaussianTarget(cov, mean=shift), cfg,
+                                        rng=StepRng(3))
+            out, out_s = state, state.replace(positions=state.positions + shift)
+            for _ in range(5):
+                out, out_s = step(out), step_shifted(out_s)
+            assert rel_err(out_s.positions - shift, out.positions) <= self.TOLERANCE, name
+            assert rel_err(out_s.velocities, out.velocities) <= self.TOLERANCE, name
+            assert rel_err(out_s.weights, out.weights) <= self.TOLERANCE, name
+
+    def test_the_method_set(self):
+        assert len(W_METRIC_METHODS) == 21
+        assert "WNES-KSDD" in W_METRIC_METHODS and "DPVI-DK-GFSD" in W_METRIC_METHODS
+        assert not any(name.startswith(("KW", "S")) for name in W_METRIC_METHODS)
 
 
 @st.composite
