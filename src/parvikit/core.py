@@ -255,7 +255,9 @@ def rbf_kernel_matrix(x: np.ndarray, y: np.ndarray | None = None, h: float = 1.0
 def bandwidth_nn_from_d2(d2: np.ndarray) -> float:
     """Nearest-neighbor bandwidth from a precomputed squared-distance matrix.
 
-    Temporarily masks the diagonal; the matrix is restored before returning.
+    Masks the diagonal with +inf for the row minima, then writes 0.0 on it: the caller's
+    matrix comes back with a zero diagonal even where `squared_distances` left rounding
+    residue there, so a kernel built from it afterwards has K_ii = 1 exactly.
     """
     m = d2.shape[0]
     if m < 2:

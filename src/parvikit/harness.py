@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -17,7 +18,7 @@ from .dynamics import (
     make_stepper,
     parse_method,
 )
-from .metrics import WeightedCloud, mode_mass, moment_errors, wasserstein2_exact
+from .metrics import WeightedCloud, mode_mass, wasserstein2_exact
 from .targets import (
     GaussianMixtureTarget,
     GaussianTarget,
@@ -303,25 +304,21 @@ class _Recorder:
             w2 = wasserstein2_exact(WeightedCloud.from_state(state), self.reference)
         moments = empirical_moments(state)
         if cfg.target_kind != "gp":
-            mean_err, cov_err = moment_errors(state, self.target.mean, self.target.cov)
-        elif self._prev_moments is None:
-            # no closed-form GP moments: record drift since the previous checkpoint
-            mean_err, cov_err = 0.0, 0.0
+            ref_mean, ref_cov = self.target.mean, self.target.cov
         else:
-            pm, pc = self._prev_moments
-            mean_err = float(np.linalg.norm(moments.mean - pm))
-            cov_err = float(np.linalg.norm(moments.covariance - pc, ord="fro"))
+            # no closed-form GP moments: record drift since the previous checkpoint (0 on the first)
+            ref_mean, ref_cov = self._prev_moments or (moments.mean, moments.covariance)
         self._prev_moments = (moments.mean, moments.covariance)
-        mm = None
-        if cfg.target_kind == "gmm":
-            mm = mode_mass(state, self.target.means[0], self.target.means[1])
+        mean_err = float(np.linalg.norm(moments.mean - ref_mean))
+        cov_err = float(np.linalg.norm(moments.covariance - ref_cov, ord="fro"))
+        gmm = cfg.target_kind == "gmm"
         return ExperimentRecord(
             iteration=state.iteration,
             wall_seconds=wall,
             w2=w2,
             mean_err=mean_err,
             cov_err=cov_err,
-            mode_mass=mm,
+            mode_mass=mode_mass(state, *self.target.means[:2]) if gmm else None,
             min_weight=float(state.weights.min()),
             max_weight=float(state.weights.max()),
             clamp_count=stepper.counters["clamp_count"],
@@ -450,13 +447,11 @@ def sweep(cfg: ExperimentConfig, particle_grid, seeds, out_dir):
 
 def load_point_cloud_csv(path) -> WeightedCloud:
     """Read a cloud from CSV: coordinate columns, optional 'mass' column, optional header."""
-    import csv as _csv
-
     rows = []
     mass_col = None
     width = None  # the header's column count, else the first data row's
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue

@@ -437,6 +437,8 @@ def load_two_column_csv(path) -> GPData:
                 if lineno == 1 and not xs:
                     continue  # header line
                 raise ParseError("line %d: non-numeric cell in %r" % (lineno, row)) from None
+            if not (np.isfinite(xs[-1]) and np.isfinite(ys[-1])):
+                raise ParseError("line %d: non-finite cell in %r" % (lineno, row))
     if len(xs) < 2:
         raise ParseError("need at least 2 data rows, got %d" % len(xs))
     return GPData(x=np.array(xs), y=np.array(ys))

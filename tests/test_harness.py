@@ -415,6 +415,15 @@ class TestCli:
         assert cli.main(["eval-w2", "--a", str(a), "--b", str(b)] + eps) == 1
         assert "line 2: non-finite" in capsys.readouterr().err
 
+    def test_gp_data_nan_cell_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n3,nan\n5,6\n")
+        cfg = tmp_path / "gp.cfg"
+        cfg.write_text("method=WGAD-CA-BLOB\ntarget=gp\nparticles=4\niterations=2\n"
+                       "data_path=%s\n" % data)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "line 3: non-finite cell" in capsys.readouterr().err
+
     def test_eval_w2_missing_file_is_usage_error(self, tmp_path, capsys):
         b = tmp_path / "b.csv"
         b.write_text("3,4\n")

@@ -431,6 +431,13 @@ class TestDataIngestion:
         with pytest.raises(ParseError, match="2 columns"):
             load_two_column_csv(p)
 
+    @pytest.mark.parametrize("row", ["3,nan", "inf,4"], ids=["y", "x"])
+    def test_non_finite_cell_names_the_line(self, tmp_path, row):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n1,2\n%s\n5,6\n" % row)
+        with pytest.raises(ParseError, match="line 3: non-finite cell"):
+            load_two_column_csv(p)
+
     def test_synthetic_data_deterministic(self):
         a = synthetic_gp_data()
         b = synthetic_gp_data()
